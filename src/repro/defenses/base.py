@@ -21,10 +21,12 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.dram.batch import batch_enabled
 from repro.dram.device import HBM2Stack
 from repro.dram.commands import Command, CommandKind
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import IdentityMapping, RowMapping
+from repro.faults.injector import FaultyStack
 
 
 @dataclass
@@ -219,3 +221,36 @@ class DefendedDevice:
         if self.device.now_ns - self._window_start_ns >= window:
             self._window_start_ns = self.device.now_ns
             self.controller.on_window_rollover(self.device.now_ns)
+
+
+def catch_up_refresh(device, channel: int, pseudo_channel: int,
+                     next_ref_ns: float) -> float:
+    """Issue every REF due by ``device.now_ns``; return the next deadline.
+
+    A memory controller issues one REF per ``tREFI`` and cannot skip
+    any, so a long command stretch owes several at once.  Each REF
+    advances the clock by exactly ``tRFC``, so the batched engine
+    pre-computes how many are due and issues them as one
+    ``refresh_burst`` (bit-identical to the sequential REFs, for the
+    plain stack and for :class:`DefendedDevice`).  A ``FaultyStack`` and
+    ``HBMSIM_BATCH=0`` take the sequential loop: ``refresh_burst`` on a
+    ``FaultyStack`` would delegate past its fault draws, while per-REF
+    calls tick the injector's counter exactly like the scalar engine.
+    """
+    if device.now_ns < next_ref_ns:
+        return next_ref_ns
+    t_refi = device.timings.t_refi
+    if batch_enabled() and not isinstance(device, FaultyStack):
+        count = 0
+        now_sim = device.now_ns
+        t_rfc = device.timings.t_rfc
+        while now_sim >= next_ref_ns:
+            count += 1
+            now_sim += t_rfc
+            next_ref_ns += t_refi
+        device.refresh_burst(channel, pseudo_channel, count)
+        return next_ref_ns
+    while device.now_ns >= next_ref_ns:
+        device.refresh(channel, pseudo_channel)
+        next_ref_ns += t_refi
+    return next_ref_ns

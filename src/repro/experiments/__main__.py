@@ -12,7 +12,8 @@ Resilience flags (see :mod:`repro.experiments.runner`):
 Exit status: 0 when every experiment succeeded, 1 when any failed or
 timed out (with ``--keep-going`` the sweep still completes and prints
 the surviving reports first), 2 on a bad invocation such as an unknown
-experiment id (with a "did you mean" hint).
+experiment id (with a "did you mean" hint) or a ``--shard`` that is
+not ``i/n`` over shardable experiments.
 """
 
 from __future__ import annotations
@@ -24,8 +25,24 @@ import time
 from repro.errors import ExperimentError, HbmSimError, UnknownExperimentError
 from repro.experiments import bench
 from repro.experiments.base import default_scale
-from repro.experiments.registry import EXPERIMENTS, EXTENSIONS, run_timed
+from repro.experiments.registry import (EXPERIMENTS, EXTENSIONS, SHARDABLE,
+                                       run_timed, validate_ids)
 from repro.experiments.runner import DEFAULT_RETRY_DELAY
+from repro.experiments.sharding import ShardSpec
+
+
+def _check_shard(ids, shard: str) -> None:
+    """Reject a malformed ``--shard`` or a non-shardable id up front."""
+    validate_ids(ids)
+    try:
+        ShardSpec.parse(shard)
+    except ValueError as exc:
+        raise HbmSimError(f"--shard: {exc}") from None
+    unshardable = [eid for eid in ids if eid not in SHARDABLE]
+    if unshardable:
+        raise HbmSimError(
+            f"--shard: {', '.join(unshardable)} cannot be sharded "
+            f"(shardable: {', '.join(sorted(SHARDABLE))})")
 
 
 def main(argv=None) -> int:
@@ -111,6 +128,8 @@ def main(argv=None) -> int:
     cache = bench.cache_state()  # observed before the run warms it
     sweep_start = time.perf_counter()
     try:
+        if args.shard is not None:
+            _check_shard(ids, args.shard)
         __, records = run_timed(
             ids, scale, jobs=args.jobs, timeout=args.timeout,
             retries=args.retries, retry_delay=args.retry_delay,

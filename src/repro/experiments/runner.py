@@ -34,33 +34,29 @@ respawned on crash or timeout.  Workers apply any active fault plan
 (:mod:`repro.faults`) — both the worker-level chaos knobs and, through
 the bender interpreter, the device-level ones.
 
-The pool itself is :class:`ResilientPool`: a persistent, thread-driven
-scheduler over the worker slots that accepts submissions one at a time
-(``submit`` returns a :class:`PoolJob` handle), supports **immediate
-cancellation** (``cancel(invocation_id)`` kills the worker running the
-invocation and frees its slot right away, instead of waiting for a
-timeout), and reports completions through thread-safe callbacks — the
-seam the asyncio service layer (:mod:`repro.service`) bridges onto.
-:func:`run_resilient` drives the same pool for the batch CLI path.
+The pool is :class:`ResilientPool`, driven by the calling thread:
+``submit`` queues an invocation, :meth:`ResilientPool.completed` runs
+the scheduler and yields each invocation once it is terminal, and
+``cancel`` kills the worker running an invocation and frees its slot at
+once — how a failed shard stops its siblings.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
+import signal
 import tempfile
-import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dram.seeding import uniform_for
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
@@ -74,6 +70,9 @@ DEFAULT_RETRY_DELAY = 0.25
 #: (workers cannot rely on pipe EOF: sibling forks inherit the parent
 #: ends, so a SIGKILL'd pool leaves the pipe open).
 _ORPHAN_POLL_S = 2.0
+
+#: ``prctl`` option: signal to deliver when the parent process dies.
+_PR_SET_PDEATHSIG = 1
 
 #: Checkpoint schema version (bump on layout changes).
 _RUN_DIR_SCHEMA = 1
@@ -139,56 +138,43 @@ def backoff_delay(experiment_id: str, attempt: int,
 # ----------------------------------------------------------------------
 
 def _worker_main(conn) -> None:
-    """Worker loop: receive (index, id, scale, attempt, plan_spec,
-    shard), reply outcome.
+    """Worker loop: receive (id, scale, attempt, shard), reply outcome.
 
-    ``plan_spec`` is the per-invocation fault-plan directive: ``None``
-    leaves the worker's installed plan untouched (the batch runner's
-    workers inherit any plan installed before the fork), the empty
-    string clears it, and a JSON string installs that plan for this and
-    subsequent invocations on the slot (the scheduler sends a spec with
-    *every* service task, so slots never leak a previous request's
-    chaos).
-
-    Replies ``("ok", index, elapsed, result)`` or ``("error", index,
-    elapsed, payload)`` where payload carries the exception identity as
-    strings (the exception object itself may not pickle).  Exits on
-    ``None``, a closed pipe, or orphaning.
+    Replies ``("ok", elapsed, result)`` or ``("error", elapsed,
+    payload)`` where payload carries the exception identity as strings
+    (the exception object itself may not pickle).  Exits on ``None``, a
+    closed pipe, or orphaning.
 
     The orphan check matters because sibling workers forked later
-    inherit this worker's parent-side pipe end, so a SIGKILL'd pool
-    process does not reliably EOF the pipe; without the ppid poll an
-    idle worker would block in ``recv`` forever, leaking a process per
-    crashed service.
+    inherit this worker's parent-side pipe end, so a SIGKILL'd parent
+    does not reliably EOF the pipe; without the ppid poll an idle worker
+    would block in ``recv`` forever, leaking a process per killed run.
+    A worker busy in a hung experiment never polls, so on Linux it also
+    asks the kernel to kill it when its parent dies.
     """
     from repro import faults
     from repro.experiments import registry
 
     parent_pid = os.getppid()
+    _die_with_parent(parent_pid)
     while True:
         try:
             while not conn.poll(_ORPHAN_POLL_S):
                 if os.getppid() != parent_pid:
-                    return  # pool process died without a shutdown
+                    return  # parent died without a shutdown
             task = conn.recv()
         except (EOFError, OSError):
             return
         if task is None:
             return
-        index, experiment_id, scale, attempt, plan_spec, shard = task
+        experiment_id, scale, attempt, shard = task
         start = time.perf_counter()
         try:
-            if plan_spec is not None:
-                if plan_spec:
-                    faults.install_plan(
-                        faults.FaultPlan.from_json(plan_spec))
-                else:
-                    faults.clear_plan()
             faults.apply_worker_faults(faults.active_plan(),
                                        experiment_id, attempt)
             result = registry.run_experiment(experiment_id, scale,
                                              shard=shard)
-            conn.send(("ok", index, time.perf_counter() - start, result))
+            conn.send(("ok", time.perf_counter() - start, result))
         except BaseException as exc:  # noqa: BLE001 — must cross the pipe
             payload = {
                 "type": type(exc).__name__,
@@ -196,10 +182,23 @@ def _worker_main(conn) -> None:
                 "traceback": traceback.format_exc(),
             }
             try:
-                conn.send(("error", index,
-                           time.perf_counter() - start, payload))
+                conn.send(("error", time.perf_counter() - start, payload))
             except (OSError, ValueError):
                 return
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """SIGKILL this process when its parent dies (Linux; no-op elsewhere)."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # pragma: no cover - non-Linux
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        return  # pragma: no cover - the idle-worker ppid poll remains
+    if os.getppid() != parent_pid:  # the parent died before prctl
+        os._exit(1)
 
 
 def _fork_context():
@@ -215,23 +214,22 @@ class _Worker:
     """One pipe-connected worker process (respawnable pool slot)."""
 
     def __init__(self, ctx) -> None:
-        self._ctx = ctx
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.process = ctx.Process(target=_worker_main,
                                    args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
-        self.task: Optional["_Task"] = None
+        self.job: Optional["PoolJob"] = None
         self.deadline: Optional[float] = None
 
-    def assign(self, task: "_Task", timeout: Optional[float]) -> None:
-        self.task = task
-        self.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-        # ``task.attempts`` was already incremented by the scheduler.
-        self.conn.send((task.index, task.experiment_id, task.scale,
-                        task.attempts, task.plan_spec, task.shard))
+    def assign(self, job: "PoolJob") -> None:
+        self.job = job
+        self.deadline = (time.monotonic() + job.timeout
+                         if job.timeout is not None else None)
+        record = job.record
+        self.conn.send((record.experiment_id, job.scale, record.attempts,
+                        job.shard))
 
     def kill(self) -> None:
         try:
@@ -258,37 +256,6 @@ class _Worker:
                 self.conn.close()
             except OSError:
                 pass
-
-
-@dataclass
-class _Task:
-    """Scheduling state of one pending invocation."""
-
-    index: int
-    experiment_id: str
-    scale: float
-    attempts: int = 0
-    #: Monotonic time before which the task must not be (re)assigned.
-    not_before: float = 0.0
-    elapsed: float = 0.0
-    #: Per-invocation resilience policy (pool jobs may differ).
-    timeout: Optional[float] = None
-    retries: int = 0
-    retry_delay: float = DEFAULT_RETRY_DELAY
-    #: Per-invocation fault-plan directive forwarded to the worker:
-    #: ``None`` = leave the worker's installed plan alone, ``""`` =
-    #: clear it, JSON = install that plan for the invocation.
-    plan_spec: Optional[str] = None
-    #: Shard directive forwarded to the worker: an ``"i/n"`` string
-    #: runs only that slice of a shardable experiment's sweep (the
-    #: result is a partial for the merge step); other values are opaque
-    #: service cache labels the registry ignores.
-    shard: Optional[str] = None
-    #: Set by :meth:`ResilientPool.cancel`; the scheduler kills the
-    #: running worker (or drops the pending task) on its next pass.
-    cancelled: bool = False
-    #: Completion handle (pool submissions only).
-    job: Optional["PoolJob"] = None
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +399,7 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
     checkpoint = (_RunDir(Path(run_dir), ids, scale, resume)
                   if run_dir is not None else None)
 
-    tasks: Deque[_Task] = deque()
+    todo: List[RunRecord] = []
     for record in records:
         if checkpoint is not None and resume:
             cached = checkpoint.load(record.index, record.experiment_id)
@@ -440,16 +407,15 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
                 record.status = "cached"
                 record.result = cached
                 continue
-        tasks.append(_Task(record.index, record.experiment_id, scale,
-                           shard=shard))
+        todo.append(record)
 
     try:
-        if tasks:
+        if todo:
             if timeout is None and jobs <= 1:
-                _run_inline(tasks, records, retries, keep_going,
+                _run_inline(todo, scale, shard, retries, keep_going,
                             retry_delay, checkpoint)
             else:
-                _run_pool(tasks, records, jobs, timeout, retries,
+                _run_pool(todo, scale, shard, jobs, timeout, retries,
                           keep_going, retry_delay, checkpoint)
     finally:
         if checkpoint is not None:
@@ -458,63 +424,46 @@ def run_resilient(experiment_ids: Sequence[str], scale: float = 1.0,
 
 
 def _record_success(record: RunRecord, result: ExperimentResult,
-                    elapsed: float, attempts: int,
                     checkpoint: Optional[_RunDir]) -> None:
-    record.status = "ok" if attempts == 1 else "retried"
+    record.status = "ok" if record.attempts == 1 else "retried"
     record.result = result
-    record.elapsed = elapsed
-    record.attempts = attempts
     record.error = None
     if checkpoint is not None:
         checkpoint.store(record.index, result)
 
 
-def _final_failure(record: RunRecord, status: str, error: str,
-                   keep_going: bool,
-                   exception: ExperimentError) -> None:
-    record.status = status
-    record.error = error
-    if not keep_going:
-        raise exception
-
-
-def _run_inline(tasks: Deque[_Task], records: List[RunRecord],
+def _run_inline(todo: List[RunRecord], scale: float, shard: Optional[str],
                 retries: int, keep_going: bool, retry_delay: float,
                 checkpoint: Optional[_RunDir]) -> None:
     """Serial in-process execution (no timeout enforcement possible)."""
     from repro import faults
     from repro.experiments import registry
 
-    for task in tasks:
-        record = records[task.index]
+    for record in todo:
         while True:
-            task.attempts += 1
-            record.attempts = task.attempts
+            record.attempts += 1
             start = time.perf_counter()
             try:
                 faults.apply_worker_faults(faults.active_plan(),
-                                           task.experiment_id,
-                                           task.attempts)
-                result = registry.run_experiment(task.experiment_id,
-                                                 task.scale,
-                                                 shard=task.shard)
+                                           record.experiment_id,
+                                           record.attempts)
+                result = registry.run_experiment(record.experiment_id,
+                                                 scale, shard=shard)
             except Exception as exc:  # noqa: BLE001 — chaos boundary
-                task.elapsed += time.perf_counter() - start
-                record.elapsed = task.elapsed
+                record.elapsed += time.perf_counter() - start
                 record.error = traceback.format_exc()
-                if task.attempts <= retries:
-                    time.sleep(backoff_delay(task.experiment_id,
-                                             task.attempts, retry_delay))
+                if record.attempts <= retries:
+                    time.sleep(backoff_delay(record.experiment_id,
+                                             record.attempts, retry_delay))
                     continue
-                _final_failure(
-                    record, "failed", record.error, keep_going,
-                    ExperimentError(task.experiment_id, task.attempts,
-                                    type(exc).__name__, str(exc),
-                                    record.error))
+                record.status = "failed"
+                if not keep_going:
+                    raise ExperimentError(
+                        record.experiment_id, record.attempts,
+                        type(exc).__name__, str(exc), record.error)
                 break
-            task.elapsed += time.perf_counter() - start
-            _record_success(record, result, task.elapsed,
-                            task.attempts, checkpoint)
+            record.elapsed += time.perf_counter() - start
+            _record_success(record, result, checkpoint)
             break
 
 
@@ -543,388 +492,254 @@ def _prewarm_calibration() -> None:
 
 
 # ----------------------------------------------------------------------
-# Persistent pool: a thread-driven scheduler over the worker slots
+# Kill-capable worker pool, driven by the calling thread
 # ----------------------------------------------------------------------
 
+@dataclass
 class PoolJob:
-    """Handle to one invocation submitted to a :class:`ResilientPool`.
+    """One invocation submitted to a :class:`ResilientPool`.
 
-    ``record`` is live: the scheduler mutates it as attempts run, and
-    the job is *done* once it reaches a terminal status.  Failures (and
-    cancellations) additionally carry the matching typed exception in
-    ``exception`` so callers can re-raise across the submission seam.
+    ``record`` is live: the scheduler counts attempts and elapsed time
+    on it as attempts run, and the job is done once the record leaves
+    ``"pending"``.  Failures and cancellations also carry the matching
+    typed exception in ``exception``.
     """
 
-    def __init__(self, invocation_id: int, record: RunRecord) -> None:
-        self.invocation_id = invocation_id
-        self.record = record
-        self.exception: Optional[ExperimentError] = None
-        self._task: Optional[_Task] = None
-        self._event = threading.Event()
-        self._on_done: List[Callable[["PoolJob"], None]] = []
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> RunRecord:
-        """Block until the invocation is terminal; returns its record."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"invocation {self.invocation_id} "
-                f"({self.record.experiment_id!r}) still running after "
-                f"{timeout:g}s")
-        return self.record
+    invocation_id: int
+    record: RunRecord
+    scale: float
+    shard: Optional[str]
+    timeout: Optional[float]
+    retries: int
+    retry_delay: float
+    #: Monotonic time before which the job must not be (re)assigned.
+    not_before: float = 0.0
+    exception: Optional[ExperimentError] = None
 
 
 class ResilientPool:
-    """Kill-capable worker pool accepting one invocation at a time.
+    """Kill-capable worker pool; the calling thread runs its scheduler.
 
-    The batch runner (:func:`run_resilient`) and the asyncio service
-    layer (:mod:`repro.service`) share this pool.  A background
-    scheduler thread owns the worker slots: it assigns pending tasks
-    (honouring retry backoff), recovers crashed workers, enforces
-    per-attempt deadlines, and **enacts cancellations immediately** —
-    ``cancel()`` on a running invocation kills its worker process and
-    respawns the slot on the scheduler's next pass rather than waiting
-    for a timeout.  Completion callbacks fire on the scheduler thread;
-    bridge them with ``loop.call_soon_threadsafe`` from asyncio.
+    ``submit`` queues an invocation.  :meth:`completed` assigns pending
+    jobs to idle slots (honouring retry backoff), recovers crashed
+    workers, enforces per-attempt deadlines, and yields each job once it
+    is terminal; the caller may submit or cancel between yields.
+    ``cancel`` acts at once: a pending job is dropped without occupying
+    a slot, a running one has its worker killed and the slot respawned.
     """
 
-    def __init__(self, slots: int = 1, prewarm: bool = False) -> None:
+    def __init__(self, slots: int = 1) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
-        if prewarm and slots > 1:
-            _prewarm_calibration()
         self._ctx = _fork_context()
-        self._lock = threading.Lock()
-        self._pending: Deque[_Task] = deque()
-        self._jobs: Dict[int, PoolJob] = {}
+        self._workers = [_Worker(self._ctx) for _ in range(slots)]
+        self._pending: Deque[PoolJob] = deque()
+        self._finished: Deque[PoolJob] = deque()
         self._next_id = 0
         self._closed = False
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_w, False)
-        self._workers = [_Worker(self._ctx) for _ in range(slots)]
-        self._thread = threading.Thread(target=self._loop,
-                                        name="hbmsim-pool", daemon=True)
-        self._thread.start()
-
-    @property
-    def slots(self) -> int:
-        return len(self._workers)
 
     # -- public API -------------------------------------------------------
 
     def submit(self, experiment_id: str, scale: float = 1.0, *,
                timeout: Optional[float] = None, retries: int = 0,
                retry_delay: float = DEFAULT_RETRY_DELAY,
-               plan_spec: Optional[str] = None,
                shard: Optional[str] = None,
-               record: Optional[RunRecord] = None,
-               on_done: Optional[Callable[[PoolJob], None]] = None
-               ) -> PoolJob:
-        """Enqueue one invocation; returns its :class:`PoolJob` handle.
+               record: Optional[RunRecord] = None) -> PoolJob:
+        """Queue one invocation; returns its :class:`PoolJob`.
 
         ``record`` lets a caller supply the (index-bearing) record the
         scheduler should fill in; by default a fresh one indexed by the
-        invocation id is created.  ``on_done`` fires on the scheduler
-        thread once the record is terminal.  ``plan_spec`` is the
-        per-invocation fault-plan directive (see :func:`_worker_main`);
-        ``shard`` the per-invocation shard directive (``"i/n"`` runs
-        that sweep slice of a shardable experiment — validated here so a
-        malformed shard fails at submission, not in a worker).
+        invocation id is created.  ``shard`` is validated here, so a
+        malformed one fails at submission, not in a worker.
         """
         from repro.experiments import registry
+        from repro.experiments.sharding import ShardSpec
+
         registry.validate_ids([experiment_id])
         if retries < 0:
             raise ValueError("retries must be non-negative")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
-        from repro.experiments.sharding import ShardSpec
-        ShardSpec.parse(shard)  # raises on a malformed "i/n" shard
-        with self._lock:
-            if self._closed:
-                raise HbmSimError("pool is shut down")
-            invocation_id = self._next_id
-            self._next_id += 1
-            if record is None:
-                record = RunRecord(experiment_id, invocation_id)
-            job = PoolJob(invocation_id, record)
-            if on_done is not None:
-                job._on_done.append(on_done)
-            task = _Task(record.index, experiment_id, scale,
-                         timeout=timeout, retries=retries,
-                         retry_delay=retry_delay, plan_spec=plan_spec,
-                         shard=shard, job=job)
-            job._task = task
-            self._jobs[invocation_id] = job
-            self._pending.append(task)
-        self._wake()
+        ShardSpec.parse(shard)
+        if self._closed:
+            raise HbmSimError("pool is shut down")
+        if record is None:
+            record = RunRecord(experiment_id, self._next_id)
+        job = PoolJob(self._next_id, record, scale, shard, timeout,
+                      retries, retry_delay)
+        self._next_id += 1
+        self._pending.append(job)
         return job
 
     def cancel(self, invocation_id: int) -> bool:
         """Cancel an invocation; returns False when unknown or done.
 
-        Pending invocations are dropped without ever occupying a slot.
-        Running ones have their worker process killed and the slot
-        respawned immediately (the cancellation analogue of a timeout
-        kill); the record terminates with status ``"cancelled"``.
+        The record terminates with status ``"cancelled"``, even when the
+        worker's reply is already waiting in the pipe.
         """
-        finalized: List[PoolJob] = []
-        with self._lock:
-            job = self._jobs.get(invocation_id)
-            if job is None or job._task is None:
-                return False
-            task = job._task
-            task.cancelled = True
-            try:
-                self._pending.remove(task)
-            except ValueError:
-                pass  # running (or replying): the scheduler enacts it
-            else:
-                self._finalize_cancel_locked(task, finalized)
-        self._fire(finalized)
-        self._wake()
-        return True
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the scheduler and the workers; never hangs a waiter.
-
-        Unfinished invocations (pending or running) finalize with
-        status ``"cancelled"`` so no ``wait()`` or callback consumer
-        blocks on a dead pool.
-        """
-        finalized: List[PoolJob] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            while self._pending:
-                task = self._pending.popleft()
-                task.cancelled = True
-                self._finalize_cancel_locked(task, finalized)
-            for worker in self._workers:
-                if worker.task is not None:
-                    worker.task.cancelled = True
-                    self._finalize_cancel_locked(worker.task, finalized)
-                    worker.task = None
-        self._fire(finalized)
-        self._wake()
-        self._thread.join(timeout=timeout)
+        for job in self._pending:
+            if job.invocation_id == invocation_id:
+                self._pending.remove(job)
+                self._cancelled(job)
+                return True
         for worker in self._workers:
-            worker.shutdown()
-        os.close(self._wake_r)
-        os.close(self._wake_w)
+            job = worker.job
+            if job is not None and job.invocation_id == invocation_id:
+                self._respawn(worker)
+                self._cancelled(job)
+                return True
+        return False
 
-    # -- scheduler internals (lock held where suffixed _locked) -----------
+    def completed(self) -> Iterator[PoolJob]:
+        """Run the scheduler, yielding each job once it is terminal.
 
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"w")
-        except (BlockingIOError, OSError):
-            pass  # buffer full (wake already pending) or closed
+        Returns when no job is pending or running.  Idle slots are
+        refilled before every yield, so workers never wait on the
+        caller.
+        """
+        while True:
+            self._assign()
+            if self._finished:
+                yield self._finished.popleft()
+            elif self._pending or any(worker.job is not None
+                                      for worker in self._workers):
+                self._poll()
+            else:
+                return
 
-    def _fire(self, finalized: List[PoolJob]) -> None:
-        """Run completion callbacks outside the lock; never let one
-        kill the scheduler."""
-        for job in finalized:
-            for callback in job._on_done:
-                try:
-                    callback(job)
-                except Exception:  # noqa: BLE001 — callbacks are foreign
-                    traceback.print_exc()
+    def shutdown(self) -> None:
+        """Stop the workers; unfinished jobs finalize as ``"cancelled"``."""
+        if self._closed:
+            return
+        self._closed = True
+        while self._pending:
+            self._cancelled(self._pending.popleft())
+        for worker in self._workers:
+            if worker.job is not None:
+                self._cancelled(worker.job)
+                worker.kill()
+            else:
+                worker.shutdown()
 
-    def _complete_locked(self, job: PoolJob,
-                         finalized: List[PoolJob]) -> None:
-        self._jobs.pop(job.invocation_id, None)
-        job._task = None
-        job._event.set()
-        finalized.append(job)
+    # -- scheduler internals ----------------------------------------------
 
-    def _finalize_cancel_locked(self, task: _Task,
-                                finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
+    def _cancelled(self, job: PoolJob) -> None:
         record = job.record
         record.status = "cancelled"
-        record.attempts = task.attempts
-        record.elapsed = task.elapsed
         record.error = record.error or "cancelled before completion"
         job.exception = ExperimentError(
-            task.experiment_id, max(1, task.attempts), "Cancelled",
+            record.experiment_id, max(1, record.attempts), "Cancelled",
             "invocation cancelled before completion")
-        self._complete_locked(job, finalized)
+        self._finished.append(job)
 
-    def _finalize_success_locked(self, task: _Task, result: Any,
-                                 finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
+    def _retry_or_fail(self, job: PoolJob, status: str, error: str,
+                       exception: ExperimentError) -> None:
         record = job.record
-        record.status = "ok" if task.attempts == 1 else "retried"
-        record.result = result
-        record.elapsed = task.elapsed
-        record.attempts = task.attempts
-        record.error = None
-        self._complete_locked(job, finalized)
-
-    def _requeue_or_fail_locked(self, task: _Task, status: str,
-                                error: str, exception: ExperimentError,
-                                finalized: List[PoolJob]) -> None:
-        job = task.job
-        assert job is not None
-        record = job.record
-        record.attempts = task.attempts
-        record.elapsed = task.elapsed
         record.error = error
-        if task.cancelled:
-            self._finalize_cancel_locked(task, finalized)
-        elif task.attempts <= task.retries:
-            task.not_before = time.monotonic() + backoff_delay(
-                task.experiment_id, task.attempts, task.retry_delay)
-            self._pending.append(task)
+        if record.attempts <= job.retries:
+            job.not_before = time.monotonic() + backoff_delay(
+                record.experiment_id, record.attempts, job.retry_delay)
+            self._pending.append(job)
         else:
             record.status = status
             job.exception = exception
-            self._complete_locked(job, finalized)
+            self._finished.append(job)
 
-    def _assign_locked(self, now: float) -> None:
-        for worker in self._workers:
-            if worker.task is not None or not self._pending:
-                continue
-            runnable = None
-            for _ in range(len(self._pending)):
-                task = self._pending.popleft()
-                if task.not_before <= now:
-                    runnable = task
-                    break
-                self._pending.append(task)
-            if runnable is None:
-                break
-            runnable.attempts += 1
-            worker.assign(runnable, runnable.timeout)
-
-    def _respawn_locked(self, worker: "_Worker") -> None:
+    def _respawn(self, worker: _Worker) -> None:
         worker.kill()
         self._workers[self._workers.index(worker)] = _Worker(self._ctx)
 
-    def _enact_cancellations_locked(self, finalized: List[PoolJob]) -> None:
-        for worker in list(self._workers):
-            task = worker.task
-            if task is None or not task.cancelled:
+    def _assign(self) -> None:
+        now = time.monotonic()
+        for worker in self._workers:
+            if worker.job is not None:
                 continue
-            worker.task = None
-            worker.deadline = None
-            self._respawn_locked(worker)
-            self._finalize_cancel_locked(task, finalized)
+            job = next((job for job in self._pending
+                        if job.not_before <= now), None)
+            if job is None:
+                return
+            self._pending.remove(job)
+            job.record.attempts += 1
+            worker.assign(job)
 
-    def _handle_reply_locked(self, conn, finalized: List[PoolJob]) -> None:
-        worker = next((w for w in self._workers if w.conn is conn), None)
-        if worker is None or worker.task is None:
-            return
-        task = worker.task
+    def _poll(self) -> None:
+        """Wait for the earliest of a reply, a deadline, or a pending job
+        leaving backoff while a slot sits idle; then process it."""
+        now = time.monotonic()
+        busy = [w for w in self._workers if w.job is not None]
+        waits = [w.deadline - now for w in busy if w.deadline is not None]
+        if self._pending and len(busy) < len(self._workers):
+            waits.append(min(job.not_before for job in self._pending) - now)
+        wait_for = max(0.0, min(waits)) if waits else None
+        if busy:
+            try:
+                ready = mp_connection.wait([w.conn for w in busy],
+                                           timeout=wait_for)
+            except OSError:  # a conn died mid-wait; the next pass recovers
+                ready = []
+            for worker in busy:
+                if worker.conn in ready:
+                    self._handle_reply(worker)
+        else:
+            time.sleep(wait_for or 0.0)
+        self._enforce_deadlines()
+
+    def _handle_reply(self, worker: _Worker) -> None:
+        job = worker.job
+        assert job is not None
+        record = job.record
         try:
-            message = conn.recv()
+            kind, elapsed, payload = worker.conn.recv()
         except (EOFError, OSError):
             # Worker died without replying: the pool's broken-process
-            # failure mode.  Respawn the slot and retry just this task;
+            # failure mode.  Respawn the slot and retry just this job;
             # survivors are unaffected.
             exitcode = worker.process.exitcode
-            self._respawn_locked(worker)
-            self._requeue_or_fail_locked(
-                task, "failed",
+            self._respawn(worker)
+            self._retry_or_fail(
+                job, "failed",
                 f"worker crashed (exit code {exitcode}) while "
-                f"running {task.experiment_id!r}",
-                WorkerCrashError(task.experiment_id, task.attempts,
-                                 exitcode),
-                finalized)
+                f"running {record.experiment_id!r}",
+                WorkerCrashError(record.experiment_id, record.attempts,
+                                 exitcode))
             return
-        kind, _index, elapsed, payload = message
-        task.elapsed += elapsed
-        worker.task = None
+        worker.job = None
         worker.deadline = None
-        if task.cancelled:
-            # The reply raced the cancellation: honour the cancel.
-            self._finalize_cancel_locked(task, finalized)
-        elif kind == "ok":
-            self._finalize_success_locked(task, payload, finalized)
+        record.elapsed += elapsed
+        if kind == "ok":
+            record.status = "ok" if record.attempts == 1 else "retried"
+            record.result = payload
+            record.error = None
+            self._finished.append(job)
         else:
-            self._requeue_or_fail_locked(
-                task, "failed", payload["traceback"],
-                ExperimentError(task.experiment_id, task.attempts,
+            self._retry_or_fail(
+                job, "failed", payload["traceback"],
+                ExperimentError(record.experiment_id, record.attempts,
                                 payload["type"], payload["message"],
-                                payload["traceback"]),
-                finalized)
+                                payload["traceback"]))
 
-    def _enforce_deadlines_locked(self, finalized: List[PoolJob]) -> None:
+    def _enforce_deadlines(self) -> None:
         now = time.monotonic()
         for worker in list(self._workers):
-            if worker.task is None or worker.deadline is None \
+            job = worker.job
+            if job is None or worker.deadline is None \
                     or worker.deadline > now:
                 continue
-            task = worker.task
-            task.elapsed += task.timeout or 0.0
-            worker.task = None
-            self._respawn_locked(worker)
-            self._requeue_or_fail_locked(
-                task, "timeout",
-                f"timed out after {task.timeout:g}s (attempt "
-                f"{task.attempts})",
-                ExperimentTimeoutError(task.experiment_id, task.attempts,
-                                       task.timeout or 0.0),
-                finalized)
-
-    def _loop(self) -> None:
-        while True:
-            finalized: List[PoolJob] = []
-            with self._lock:
-                if self._closed:
-                    break
-                self._enact_cancellations_locked(finalized)
-                now = time.monotonic()
-                self._assign_locked(now)
-                busy = [w for w in self._workers if w.task is not None]
-                # Wait for the earliest of: a reply, a deadline, a
-                # pending task leaving backoff while a slot sits idle,
-                # or an external wake (submit / cancel / shutdown).
-                wait_for = None
-                deadlines = [w.deadline for w in busy
-                             if w.deadline is not None]
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines) - now)
-                if self._pending and len(busy) < len(self._workers):
-                    next_ready = min(t.not_before for t in self._pending)
-                    until_ready = max(0.0, next_ready - now)
-                    wait_for = until_ready if wait_for is None \
-                        else min(wait_for, until_ready)
-                conns = [w.conn for w in busy] + [self._wake_r]
-            self._fire(finalized)
-            try:
-                ready = mp_connection.wait(conns, timeout=wait_for)
-            except OSError:  # a conn died mid-wait; next pass recovers
-                ready = []
-            if self._wake_r in ready:
-                try:
-                    os.read(self._wake_r, 4096)
-                except OSError:
-                    pass
-            finalized = []
-            with self._lock:
-                if self._closed:
-                    break
-                for conn in ready:
-                    if conn is self._wake_r:
-                        continue
-                    self._handle_reply_locked(conn, finalized)
-                self._enforce_deadlines_locked(finalized)
-                self._enact_cancellations_locked(finalized)
-            self._fire(finalized)
+            record = job.record
+            record.elapsed += job.timeout or 0.0
+            self._respawn(worker)
+            self._retry_or_fail(
+                job, "timeout",
+                f"timed out after {job.timeout:g}s (attempt "
+                f"{record.attempts})",
+                ExperimentTimeoutError(record.experiment_id,
+                                       record.attempts, job.timeout or 0.0))
 
 
 class _ShardGroup:
     """Aggregation state of one invocation fanned out across shards."""
 
-    def __init__(self, task: _Task, record: RunRecord,
-                 count: int) -> None:
-        self.task = task
+    def __init__(self, record: RunRecord, count: int) -> None:
         self.record = record
         self.count = count
         self.partials: List[Optional[ExperimentResult]] = [None] * count
@@ -953,9 +768,10 @@ def _shard_fanout(experiment_id: str, jobs: int) -> int:
     return max(1, min(jobs, units))
 
 
-def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
-              timeout: Optional[float], retries: int, keep_going: bool,
-              retry_delay: float, checkpoint: Optional[_RunDir]) -> None:
+def _run_pool(todo: List[RunRecord], scale: float, shard: Optional[str],
+              jobs: int, timeout: Optional[float], retries: int,
+              keep_going: bool, retry_delay: float,
+              checkpoint: Optional[_RunDir]) -> None:
     """Kill-capable worker-pool execution with crash recovery.
 
     Shardable experiments (see ``registry.SHARDABLE``) fan out across
@@ -967,9 +783,9 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
     from repro.experiments import registry
 
     fanouts = {
-        task.index: (_shard_fanout(task.experiment_id, jobs)
-                     if task.shard is None else 1)
-        for task in tasks}
+        record.index: (_shard_fanout(record.experiment_id, jobs)
+                       if shard is None else 1)
+        for record in todo}
     # More workers than runnable cores only adds fork and context-switch
     # cost: the pool keeps its process-isolation semantics (crash
     # recovery, timeout kills) at any slot count, so cap fan-out at the
@@ -978,36 +794,27 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
     if slots <= 1:
         # No parallelism available: sharding would only add merge cost.
         fanouts = {index: 1 for index in fanouts}
-    if slots > 1:
+    else:
         _prewarm_calibration()
     pool = ResilientPool(slots)
-    completions: "queue_module.Queue[PoolJob]" = queue_module.Queue()
+    policy: Dict[str, Any] = {"timeout": timeout, "retries": retries,
+                              "retry_delay": retry_delay}
     #: shard-job invocation id -> (group, shard index).
     groups: Dict[int, Tuple[_ShardGroup, int]] = {}
     try:
-        submitted = 0
-        for task in tasks:
-            count = fanouts[task.index]
+        for record in todo:
+            count = fanouts[record.index]
             if count <= 1:
-                pool.submit(task.experiment_id, task.scale,
-                            timeout=timeout, retries=retries,
-                            retry_delay=retry_delay, shard=task.shard,
-                            record=records[task.index],
-                            on_done=completions.put)
-                submitted += 1
+                pool.submit(record.experiment_id, scale, shard=shard,
+                            record=record, **policy)
                 continue
-            group = _ShardGroup(task, records[task.index], count)
+            group = _ShardGroup(record, count)
             for shard_index in range(count):
-                job = pool.submit(task.experiment_id, task.scale,
-                                  timeout=timeout, retries=retries,
-                                  retry_delay=retry_delay,
-                                  shard=f"{shard_index}/{count}",
-                                  on_done=completions.put)
+                job = pool.submit(record.experiment_id, scale,
+                                  shard=f"{shard_index}/{count}", **policy)
                 groups[job.invocation_id] = (group, shard_index)
                 group.job_ids.append(job.invocation_id)
-            submitted += count
-        for _ in range(submitted):
-            job = completions.get()
+        for job in pool.completed():
             entry = groups.get(job.invocation_id)
             if entry is None:
                 record = job.record
@@ -1015,8 +822,7 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
                     if checkpoint is not None:
                         checkpoint.store(record.index, record.result)
                 elif not keep_going:
-                    raise job.exception or ExperimentError(
-                        record.experiment_id, record.attempts)
+                    raise job.exception
                 continue
             group, shard_index = entry
             shard_record = job.record
@@ -1026,27 +832,26 @@ def _run_pool(tasks: Deque[_Task], records: List[RunRecord], jobs: int,
             group.attempts = max(group.attempts, shard_record.attempts)
             if group.failed:
                 continue  # sibling of an already-failed fan-out
+            record = group.record
             if shard_record.succeeded:
                 group.partials[shard_index] = shard_record.result
                 group.done += 1
                 if group.done == group.count:
                     merged = registry.merge_shard_results(
-                        group.task.experiment_id, group.partials,
-                        group.task.scale)
-                    _record_success(group.record, merged, group.elapsed,
-                                    max(1, group.attempts), checkpoint)
+                        record.experiment_id, group.partials, scale)
+                    record.elapsed = group.elapsed
+                    record.attempts = max(1, group.attempts)
+                    _record_success(record, merged, checkpoint)
             else:
                 group.failed = True
                 for invocation_id in group.job_ids:
                     if invocation_id != job.invocation_id:
                         pool.cancel(invocation_id)
-                record = group.record
                 record.status = shard_record.status
                 record.attempts = max(1, group.attempts)
                 record.elapsed = group.elapsed
                 record.error = shard_record.error
                 if not keep_going:
-                    raise job.exception or ExperimentError(
-                        record.experiment_id, record.attempts)
+                    raise job.exception
     finally:
         pool.shutdown()

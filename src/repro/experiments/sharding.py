@@ -18,11 +18,8 @@ order, and a ``render`` building the full report from a payload — the
 base derives ``run``/``run_shard``/``merge_shards`` with the shared
 fan-out-coverage validation.
 
-Shard strings are ``"i/n"`` (e.g. ``"0/8"``).  The service layer's
-``shard`` request key predates this format and remains an *opaque
-cache-partition label* for any other value: :meth:`ShardSpec.parse`
-returns ``None`` for non-matching strings instead of raising, so labels
-like ``"ch0"`` keep their historical meaning.
+Shard strings are ``"i/n"`` (e.g. ``"0/8"``); :meth:`ShardSpec.parse`
+rejects anything else.
 """
 
 from __future__ import annotations
@@ -59,19 +56,18 @@ class ShardSpec:
 
     @classmethod
     def parse(cls, value: Optional[str]) -> Optional["ShardSpec"]:
-        """Parse an ``"i/n"`` shard string.
+        """Parse an ``"i/n"`` shard string (``None`` means unsharded).
 
-        Returns ``None`` when ``value`` is ``None`` or does not look
-        like a shard string at all (an opaque service label); raises
-        :class:`ValueError` when it matches the format but names an
-        impossible shard (``i >= n`` or ``n == 0``) — a malformed
-        request must fail loudly, not silently run the full sweep.
+        Raises :class:`ValueError` for any other value, including an
+        impossible shard (``i >= n`` or ``n == 0``): a malformed request
+        must fail loudly, not silently run the full sweep.
         """
         if value is None:
             return None
         match = _SHARD_RE.match(value.strip())
         if match is None:
-            return None
+            raise ValueError(
+                f"shard must look like 'i/n' (e.g. '0/8'), got {value!r}")
         return cls(int(match.group(1)), int(match.group(2)))
 
     def slice_of(self, n_units: int) -> Tuple[int, int]:

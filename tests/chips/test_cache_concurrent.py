@@ -75,88 +75,3 @@ def test_reads_under_concurrent_writer_never_crash(cache_dir):
     leftovers = [p for p in cache_dir.iterdir()
                  if p.suffix == ".tmp"]
     assert leftovers == []
-
-
-# ----------------------------------------------------------------------
-# Whole-experiment result cache (service-layer coalescing substrate)
-# ----------------------------------------------------------------------
-
-def _sample_result(text: str = "report"):
-    from repro.experiments.base import ExperimentResult
-    return ExperimentResult(experiment_id="fig05", title="fig05",
-                            text=text, data={"hc_first": [1, 2, 3]})
-
-
-def _result_writer_loop(key: str, iterations: int) -> None:
-    result = _sample_result()
-    for _ in range(iterations):
-        assert cache.store_experiment_result(key, result)
-
-
-class TestExperimentResultCache:
-    def test_roundtrip_preserves_the_result(self, cache_dir):
-        key = cache.experiment_key("fig05", 0.25)
-        assert cache.load_experiment_result(key) is None
-        stored = _sample_result()
-        assert cache.store_experiment_result(key, stored)
-        loaded = cache.load_experiment_result(key)
-        assert loaded.text == stored.text
-        assert loaded.data == stored.data
-
-    def test_key_covers_every_run_input(self, cache_dir):
-        base = cache.experiment_key("fig05", 0.25)
-        assert cache.experiment_key("fig05", 0.25) == base
-        assert cache.experiment_key("fig07", 0.25) != base
-        assert cache.experiment_key("fig05", 0.5) != base
-        assert cache.experiment_key("fig05", 0.25,
-                                    {"shard": "ch0"}) != base
-
-    @pytest.mark.parametrize("payload", [
-        b"", b"\x80\x04garbage", b"not a pickle at all"])
-    def test_corrupt_result_reads_as_miss(self, cache_dir, payload):
-        key = cache.experiment_key("fig05", 0.25)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._result_path(key).write_bytes(payload)
-        assert cache.load_experiment_result(key) is None
-        # And store recovers the slot.
-        assert cache.store_experiment_result(key, _sample_result())
-        assert cache.load_experiment_result(key) is not None
-
-    def test_wrong_object_type_reads_as_miss(self, cache_dir):
-        import pickle
-        key = cache.experiment_key("fig05", 0.25)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._result_path(key).write_bytes(
-            pickle.dumps({"not": "a result"}))
-        assert cache.load_experiment_result(key) is None
-
-    def test_disabled_cache_stores_and_loads_nothing(self, cache_dir,
-                                                     monkeypatch):
-        monkeypatch.setenv("HBMSIM_NO_CACHE", "1")
-        key = cache.experiment_key("fig05", 0.25)
-        assert not cache.store_experiment_result(key, _sample_result())
-        assert cache.load_experiment_result(key) is None
-
-    @needs_fork
-    def test_reads_under_concurrent_result_writer_never_crash(
-            self, cache_dir):
-        """The coalescing cache's concurrency contract: a reader sees
-        a complete result or a miss, never a torn pickle."""
-        key = cache.experiment_key("fig05", 0.25)
-        context = multiprocessing.get_context("fork")
-        writer = context.Process(target=_result_writer_loop,
-                                 args=(key, 200))
-        writer.start()
-        try:
-            outcomes = set()
-            for _ in range(1000):
-                loaded = cache.load_experiment_result(key)
-                outcomes.add(None if loaded is None else loaded.text)
-        finally:
-            writer.join(timeout=60)
-        assert writer.exitcode == 0
-        assert outcomes <= {None, "report"}
-        assert "report" in outcomes
-        leftovers = [p for p in cache_dir.iterdir()
-                     if p.suffix == ".tmp"]
-        assert leftovers == []

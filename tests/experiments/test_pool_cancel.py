@@ -24,6 +24,12 @@ def _pool_quick(scale: float) -> ExperimentResult:
                             title="pool-quick", text="ran pool-quick")
 
 
+def _pool_nap(scale: float) -> ExperimentResult:
+    time.sleep(1.0)
+    return ExperimentResult(experiment_id="pool-nap",
+                            title="pool-nap", text="ran pool-nap")
+
+
 def _pool_hang(scale: float) -> ExperimentResult:
     time.sleep(60.0)
     return ExperimentResult(experiment_id="pool-hang",
@@ -33,23 +39,24 @@ def _pool_hang(scale: float) -> ExperimentResult:
 @pytest.fixture()
 def pool_registry(monkeypatch):
     monkeypatch.setitem(registry.EXPERIMENTS, "pool-quick", _pool_quick)
+    monkeypatch.setitem(registry.EXPERIMENTS, "pool-nap", _pool_nap)
     monkeypatch.setitem(registry.EXPERIMENTS, "pool-hang", _pool_hang)
 
 
 @pytest.fixture()
 def pool(pool_registry):
-    pool = ResilientPool(slots=1)
+    pool = ResilientPool(slots=2)
     yield pool
     pool.shutdown()
 
 
 class TestSubmit:
-    def test_submit_returns_a_waitable_job(self, pool):
+    def test_submit_returns_a_job_the_pool_completes(self, pool):
         job = pool.submit("pool-quick")
-        record = job.wait(timeout=30.0)
-        assert job.done()
-        assert record.status == "ok"
-        assert record.result.text == "ran pool-quick"
+        assert job.record.status == "pending"
+        assert list(pool.completed()) == [job]
+        assert job.record.status == "ok"
+        assert job.record.result.text == "ran pool-quick"
 
     def test_submit_validates_arguments(self, pool):
         with pytest.raises(UnknownExperimentError):
@@ -59,52 +66,51 @@ class TestSubmit:
         with pytest.raises(ValueError):
             pool.submit("pool-quick", timeout=0)
 
-    def test_wait_timeout_raises(self, pool):
-        job = pool.submit("pool-hang")
-        with pytest.raises(TimeoutError):
-            job.wait(timeout=0.2)
-        assert pool.cancel(job.invocation_id)
-
-    def test_completion_callback_fires(self, pool):
-        seen = []
-        job = pool.submit("pool-quick", on_done=seen.append)
-        job.wait(timeout=30.0)
-        assert seen == [job]
-
 
 class TestCancel:
     def test_cancel_running_releases_the_slot_immediately(self, pool):
         """The slot must be usable right away — not after pool-hang's
         60 s sleep — because cancel kills the worker process."""
-        hung = pool.submit("pool-hang")
-        deadline = time.monotonic() + 10.0
-        while hung.record.status == "pending" \
-                and not hung.done() and time.monotonic() < deadline:
-            if pool.cancel(hung.invocation_id):
-                break
-            time.sleep(0.01)
-        assert pool.cancel(hung.invocation_id) or hung.done()
-        record = hung.wait(timeout=10.0)
-        assert record.status == "cancelled"
-        assert hung.exception is not None
-
         started = time.monotonic()
+        hung = pool.submit("pool-hang")
+        quick = pool.submit("pool-quick")
+        jobs = pool.completed()
+        assert next(jobs) is quick  # pool-hang now occupies a slot
+        (worker,) = [w for w in pool._workers if w.job is hung]
+        assert pool.cancel(hung.invocation_id)
+        assert not worker.process.is_alive()
+        assert hung.record.status == "cancelled"
+        assert hung.record.attempts == 1
+        assert hung.exception is not None
+        # Both slots are free again: a second hang cannot starve a
+        # quick job queued behind it.
+        second = pool.submit("pool-hang")
         follow = pool.submit("pool-quick")
-        assert follow.wait(timeout=30.0).status == "ok"
+        assert next(jobs) is hung
+        assert next(jobs) is follow
+        assert follow.record.status == "ok"
+        assert pool.cancel(second.invocation_id)
+        assert list(jobs) == [second]
         assert time.monotonic() - started < 30.0
 
     def test_cancel_pending_never_occupies_a_worker(self, pool):
         hung = pool.submit("pool-hang")
+        quick = pool.submit("pool-quick")
+        jobs = pool.completed()
+        assert next(jobs) is quick
         queued = pool.submit("pool-quick")
         assert pool.cancel(queued.invocation_id)
-        record = queued.wait(timeout=5.0)
-        assert record.status == "cancelled"
-        assert record.attempts == 0
-        pool.cancel(hung.invocation_id)
+        assert queued.record.status == "cancelled"
+        assert queued.record.attempts == 0
+        # Dropping a queued job leaves the running one alone.
+        (worker,) = [w for w in pool._workers if w.job is hung]
+        assert worker.process.is_alive()
+        assert pool.cancel(hung.invocation_id)
+        assert list(jobs) == [queued, hung]
 
     def test_cancel_unknown_or_finished_returns_false(self, pool):
         job = pool.submit("pool-quick")
-        job.wait(timeout=30.0)
+        list(pool.completed())
         assert not pool.cancel(job.invocation_id)
         assert not pool.cancel(12345)
 
@@ -112,22 +118,31 @@ class TestCancel:
         """Once cancel() returns True the record terminates
         'cancelled', even if the worker's reply was already in the
         pipe."""
-        for _ in range(5):
-            job = pool.submit("pool-quick")
-            if pool.cancel(job.invocation_id):
-                assert job.wait(timeout=10.0).status == "cancelled"
-            else:
-                assert job.wait(timeout=10.0).status == "ok"
+        quick = pool.submit("pool-quick")
+        napping = pool.submit("pool-nap")
+        jobs = pool.completed()
+        assert next(jobs) is quick
+        time.sleep(2.0)  # pool-nap's reply is now waiting, unread
+        assert pool.cancel(napping.invocation_id)
+        assert list(jobs) == [napping]
+        assert napping.record.status == "cancelled"
+        assert napping.record.result is None
 
 
 class TestShutdown:
-    def test_shutdown_finalizes_unfinished_jobs(self, pool_registry):
-        pool = ResilientPool(slots=1)
+    def test_shutdown_finalizes_unfinished_jobs(self, pool):
         hung = pool.submit("pool-hang")
+        quick = pool.submit("pool-quick")
+        assert next(pool.completed()) is quick
         queued = pool.submit("pool-quick")
+        (worker,) = [w for w in pool._workers if w.job is hung]
+        started = time.monotonic()
         pool.shutdown()
-        assert hung.wait(timeout=1.0).status == "cancelled"
-        assert queued.wait(timeout=1.0).status == "cancelled"
+        assert time.monotonic() - started < 30.0
+        assert not worker.process.is_alive()
+        assert hung.record.status == "cancelled"
+        assert queued.record.status == "cancelled"
+        assert quick.record.status == "ok"
 
     def test_submit_after_shutdown_rejected(self, pool_registry):
         pool = ResilientPool(slots=1)

@@ -1,15 +1,20 @@
 """Tests for the resilient runner: retries, timeouts, crash recovery,
 keep-going degradation, and checkpoint/resume."""
 
+import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
                           HbmSimError, UnknownExperimentError)
-from repro.experiments import registry
+from repro.experiments import registry, runner
 from repro.experiments.__main__ import main
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import backoff_delay, run_resilient
@@ -240,3 +245,61 @@ class TestCliExitCodes:
     def test_resume_flag_requires_run_dir(self, chaos_registry, capsys):
         code = main(["chaos-ok", "--resume"])
         assert code == 2
+
+
+def _live_pids_mentioning(token):
+    """Live (non-zombie) PIDs whose command line contains ``token``;
+    forked workers keep the CLI's argv."""
+    pids = []
+    for proc_dir in Path("/proc").iterdir():
+        if not proc_dir.name.isdigit():
+            continue
+        try:
+            cmdline = (proc_dir / "cmdline").read_bytes()
+            state = (proc_dir / "stat").read_text().rsplit(")", 1)[1]
+        except OSError:
+            continue
+        if token.encode() in cmdline and state.split()[0] != "Z":
+            pids.append(int(proc_dir.name))
+    return pids
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="finds worker processes through /proc")
+def test_sigkilled_cli_leaves_no_workers(tmp_path):
+    """Workers of a SIGKILL'd ``-j 2`` run exit on their own, the one
+    stuck in a hung experiment included."""
+    run_dir = tmp_path / "orphan-run"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(registry.__file__).parents[2])
+    env["HBMSIM_FAULTS"] = json.dumps(
+        {"seed": 1, "stall_experiments": {"table1": 600}})
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", "table2", "table1",
+         "-j", "2", "--run-dir", str(run_dir)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        # table2 done means table1 holds a worker in its 600 s stall.
+        done = run_dir / "results" / "0000-table2.pkl"
+        deadline = time.monotonic() + 120.0
+        while not done.exists() and time.monotonic() < deadline:
+            assert cli.poll() is None, "CLI exited early"
+            time.sleep(0.1)
+        assert done.exists(), "table2 never finished"
+        workers = [pid for pid in _live_pids_mentioning(str(run_dir))
+                   if pid != cli.pid]
+        assert workers
+        cli.send_signal(signal.SIGKILL)
+        cli.wait(timeout=30)
+        deadline = time.monotonic() + 3 * runner._ORPHAN_POLL_S
+        while time.monotonic() < deadline and \
+                set(workers) & set(_live_pids_mentioning(str(run_dir))):
+            time.sleep(0.1)
+        assert not set(workers) & set(_live_pids_mentioning(str(run_dir)))
+    finally:
+        cli.kill()
+        cli.wait(timeout=30)
+        for pid in set(workers) & set(_live_pids_mentioning(str(run_dir))):
+            os.kill(pid, signal.SIGKILL)

@@ -4,19 +4,21 @@ The full-geometry contract (ISSUE 8, extended by ISSUE 10 to the whole
 row-sweep family): a shardable experiment's sweep splits into
 contiguous unit ranges — (channel, pseudo channel) pairs, channels, or
 bank combos — whose merged result is byte-identical to the unsharded
-run — under the CLI ``--shard i/n`` flag, the service ``shard`` field,
-and the pool's transparent ``-j N`` fan-out alike.
+run — under the CLI ``--shard i/n`` flag and the pool's transparent
+``-j N`` fan-out alike.
 """
 
+import multiprocessing
+import time
 from unittest import mock
 
 import pytest
 
-from repro.errors import AdmissionError, HbmSimError
+from repro.errors import HbmSimError
+from repro.experiments import __main__ as cli
 from repro.experiments import fig05_hcfirst_chips, registry, runner
 from repro.experiments.registry import run_timed
 from repro.experiments.sharding import ShardSpec, shard_labels
-from repro.service.admission import AdmissionGate
 
 SCALE = 0.02
 
@@ -27,10 +29,13 @@ class TestShardSpec:
         assert spec == ShardSpec(2, 8)
         assert spec.label == "2/8"
 
-    @pytest.mark.parametrize("value", [None, "ch0", "0/0x", "a/b",
-                                       "1-4", ""])
-    def test_non_matching_values_stay_opaque(self, value):
-        assert ShardSpec.parse(value) is None
+    def test_none_means_unsharded(self):
+        assert ShardSpec.parse(None) is None
+
+    @pytest.mark.parametrize("value", ["ch0", "0/0x", "a/b", "1-4", ""])
+    def test_non_matching_values_rejected(self, value):
+        with pytest.raises(ValueError, match="i/n"):
+            ShardSpec.parse(value)
 
     @pytest.mark.parametrize("value", ["4/4", "5/2", "0/0"])
     def test_malformed_matches_rejected(self, value):
@@ -101,10 +106,9 @@ class TestRegistryShardApi:
         assert registry.shard_units("fig13") == 3
         assert registry.shard_units("fig03") is None
 
-    def test_opaque_label_runs_full(self):
-        full = registry.run_experiment("fig05", SCALE)
-        labelled = registry.run_experiment("fig05", SCALE, shard="ch0")
-        assert labelled.text == full.text
+    def test_opaque_label_rejected(self):
+        with pytest.raises(ValueError, match="i/n"):
+            registry.run_experiment("fig05", SCALE, shard="ch0")
 
     def test_shard_on_non_shardable_rejected(self):
         with pytest.raises(HbmSimError, match="shard"):
@@ -155,32 +159,55 @@ class TestPoolFanout:
             pool.shutdown()
 
 
-class TestServiceShardAdmission:
-    def test_execution_shard_admits_for_shardable(self):
-        request = AdmissionGate().admit(
-            {"experiment_id": "fig05", "scale": SCALE, "shard": "0/8"})
-        assert request.shard == "0/8"
+class _FailFastFanout:
+    """A two-unit shardable probe: shard 0 fails at once, shard 1
+    sleeps for a minute."""
 
-    def test_opaque_label_still_admits(self):
-        request = AdmissionGate().admit(
-            {"experiment_id": "fig03", "scale": SCALE, "shard": "ch0"})
-        assert request.shard == "ch0"
+    @staticmethod
+    def run(scale):
+        raise AssertionError("the probe only runs as shards")
 
-    def test_malformed_execution_shard_rejected(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            AdmissionGate().admit(
-                {"experiment_id": "fig05", "shard": "5/2"})
-        assert excinfo.value.field == "shard"
+    @staticmethod
+    def shard_units():
+        return 2
 
-    def test_execution_shard_on_non_shardable_rejected(self):
-        with pytest.raises(AdmissionError) as excinfo:
-            AdmissionGate().admit(
-                {"experiment_id": "fig03", "shard": "0/8"})
-        assert excinfo.value.field == "shard"
+    @staticmethod
+    def run_shard(scale, spec):
+        if spec.index == 0:
+            raise RuntimeError("shard 0 fails at once")
+        time.sleep(60.0)
+        raise AssertionError("the sibling should have been cancelled")
 
-    def test_shard_requests_never_coalesce_across_slices(self):
-        keys = {AdmissionGate().admit(
-                    {"experiment_id": "fig05", "scale": SCALE,
-                     "shard": label}).coalescing_key()
-                for label in shard_labels(4)}
-        assert len(keys) == 4
+    @staticmethod
+    def merge_shards(partials, scale):
+        raise AssertionError("a failed fan-out never merges")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="pool requires the fork start method")
+def test_failed_shard_cancels_its_sleeping_sibling(monkeypatch):
+    monkeypatch.setitem(registry.EXPERIMENTS, "fanout-probe",
+                        _FailFastFanout.run)
+    monkeypatch.setitem(registry.SHARDABLE, "fanout-probe",
+                        _FailFastFanout)
+    started = time.monotonic()
+    with mock.patch.object(runner, "_available_cores", return_value=2):
+        records = runner.run_resilient(["fanout-probe"], SCALE, jobs=2,
+                                       keep_going=True)
+    assert time.monotonic() - started < 30.0
+    assert records[0].status == "failed"
+    assert "shard 0 fails at once" in records[0].error
+
+
+class TestCliShard:
+    @pytest.mark.parametrize("argv", [
+        ["fig05", "--scale", "0.02", "--shard", "ch0"],
+        ["fig05", "--scale", "0.02", "--shard", "0/0x"],
+        ["fig05", "--shard", "5/2"],
+        ["table1", "--shard", "0/2"],
+    ])
+    def test_bad_shard_exits_2_before_running(self, argv, capsys):
+        with mock.patch.object(cli, "run_timed") as run:
+            assert cli.main(argv) == 2
+        run.assert_not_called()
+        assert "--shard" in capsys.readouterr().err
