@@ -42,7 +42,8 @@ from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
 from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.retention import RetentionModel
 from repro.dram.row_mapping import RowMapping, make_mapping
-from repro.dram.seeding import derive_seed, normal_for, uniform_for
+from repro.dram.seeding import (derive_seed, hash_pattern, normal_for,
+                                 uniform_for)
 from repro.dram.trr import TrrConfig
 
 #: Pattern-level BER coupling factors (mean Checkered 0.76% vs mean
@@ -207,6 +208,10 @@ class ChipProfile:
         self._die_ber = tuple(f / mean_die for f in spec.die_ber_factors)
         self._spatial_tables: Optional[SpatialTables] = None
         self._pattern_hc_tables: Dict[str, np.ndarray] = {}
+        #: Row threshold floors keyed by (channel, pseudo channel, bank,
+        #: row, pattern); see :meth:`min_threshold`.
+        self._min_thresholds: Dict[Tuple[int, int, int, int, str],
+                                   float] = {}
         from repro import perf
         from repro.chips import cache as calibration_cache
         with perf.timed_phase("calibrate"):
@@ -455,7 +460,7 @@ class ChipProfile:
         row_hc_noise = 10.0 ** (spec.hc_row_sigma * normal_for(
             spec.seed, 0x4C, *coords))
         affinity = 10.0 ** (0.06 * normal_for(
-            spec.seed, 0xAF, *coords, _pattern_id(pattern)))
+            spec.seed, 0xAF, *coords, hash_pattern(pattern)))
         # The within-subarray position factor modulates how many weak
         # cells a row has (Fig. 8's periodic BER profile) but not their
         # threshold scale; folding it into hc_target would let the sigma
@@ -497,10 +502,26 @@ class ChipProfile:
         """Provider protocol entry point used by the device engine."""
         seed = derive_seed(self.spec.seed, 0xD0, address.channel,
                            address.pseudo_channel, address.bank, address.row,
-                           _pattern_id(pattern))
+                           hash_pattern(pattern))
         return RowDisturbanceProfile(
             self.cell_population(address, pattern), seed,
             self.geometry.row_bits)
+
+    def min_threshold(self, address: RowAddress, pattern: str) -> float:
+        """The row's threshold floor, memoized for the chip's lifetime.
+
+        A pure function of (chip seed, physical address, pattern),
+        computed once through :meth:`profile` and shared by every device
+        built from this chip (:func:`make_chip` caches the chip per
+        process; forked workers inherit the memo).
+        """
+        key = (address.channel, address.pseudo_channel, address.bank,
+               address.row, pattern)
+        value = self._min_thresholds.get(key)
+        if value is None:
+            value = self.profile(address, pattern).threshold_floor()
+            self._min_thresholds[key] = value
+        return value
 
     # ------------------------------------------------------------------
     # Device construction
@@ -534,13 +555,6 @@ class ChipProfile:
     def label(self) -> str:
         """Paper label ('Chip 0' .. 'Chip 5')."""
         return self.spec.label
-
-
-def _pattern_id(pattern: str) -> int:
-    value = 0
-    for char in pattern:
-        value = (value * 131 + ord(char)) & 0xFFFFFFFF
-    return value
 
 
 @functools.lru_cache(maxsize=None)

@@ -181,12 +181,9 @@ def run_attack_epochs(session: BenderSession,
 
     expected = np.asarray(pattern.victim_row(geometry.row_bytes),
                           dtype=np.uint8)
-    profile = device.profile_provider.profile(
-        victim, classify_victim_pattern(expected))
-    population = profile.population
-    strong_floor = 10.0 ** (population.mu_strong
-                            - 3.0 * population.sigma_strong)
-    min_threshold = min(float(profile.hc_first()), strong_floor)
+    provider = device.profile_provider
+    pattern_name = classify_victim_pattern(expected)
+    min_threshold = provider.min_threshold(victim, pattern_name)
     thresholds: Optional[np.ndarray] = None
     floor = retention.row_retention_ns(victim) \
         if retention is not None else None
@@ -270,7 +267,8 @@ def run_attack_epochs(session: BenderSession,
         parts: List[np.ndarray] = []
         if acc > 0 and acc >= min_threshold:
             if thresholds is None:
-                thresholds = profile.materialize()
+                thresholds = provider.profile(victim,
+                                              pattern_name).materialize()
             parts.append(np.flatnonzero(thresholds <= acc))
         if retention is not None:
             elapsed = time - max(restored_at, ref_time)

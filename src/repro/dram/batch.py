@@ -209,11 +209,9 @@ class RowBatchProfile:
                 raise ValueError("victim has no neighbors in the bank")
             self.has_low_aggressor[index] = row - 1 >= 0
             self.has_high_aggressor[index] = row + 1 < geometry.rows
-            self.low_disturbs[index] = (
-                row - 1 >= 0 and layout.same_subarray(row, row - 1))
-            self.high_disturbs[index] = (
-                row + 1 < geometry.rows
-                and layout.same_subarray(row, row + 1))
+            lo, hi = layout.bounds_of(row)
+            self.low_disturbs[index] = row - 1 >= lo
+            self.high_disturbs[index] = row + 1 < hi
             self.upper_writes[index] = min(radius,
                                            geometry.rows - 1 - row)
             # Window-init disturbance: rewriting the victim clears its
@@ -221,10 +219,7 @@ class RowBatchProfile:
             # ascending d) contribute — replayed in the same add order.
             units = 0.0
             for distance in distances:
-                neighbor = row + distance
-                if distance > radius or neighbor >= geometry.rows:
-                    continue
-                if not layout.same_subarray(row, neighbor):
+                if distance > radius or row + distance >= hi:
                     continue
                 contribution = (1 * temperature) \
                     * model.units_per_activation(self.t_write_on, distance)
@@ -232,13 +227,10 @@ class RowBatchProfile:
                     units += contribution
             self.init_units[index] = units
 
-            profile = provider.profile(victim, self.pattern_name)
-            population = profile.population
-            strong_floor = 10.0 ** (population.mu_strong
-                                    - 3.0 * population.sigma_strong)
-            self.min_thresholds[index] = min(float(profile.hc_first()),
-                                             strong_floor)
-            self.thresholds[index] = profile.materialize()
+            self.min_thresholds[index] = provider.min_threshold(
+                victim, self.pattern_name)
+            self.thresholds[index] = provider.profile(
+                victim, self.pattern_name).materialize()
             if device.retention is not None:
                 self.retention_floors[index] = \
                     device.retention.row_retention_ns(victim)

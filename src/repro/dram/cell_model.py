@@ -333,6 +333,19 @@ class RowDisturbanceProfile:
             self.row_bits, self.order_stat_draws(n))
         return np.maximum(1.0, thresholds / amplification)
 
+    def threshold_floor(self) -> float:
+        """Lower bound on the weakest threshold :meth:`materialize` yields.
+
+        The analytic weak minimum equals the weakest materialized weak
+        cell bit-for-bit (shared order-statistics stream); the strong
+        population is truncated at -3 sigma, so the combined bound is
+        exact.  Commits below it skip cell materialization.
+        """
+        population = self.population
+        strong_floor = 10.0 ** (population.mu_strong
+                                - 3.0 * population.sigma_strong)
+        return min(float(self.hc_first()), strong_floor)
+
     def materialize(self) -> np.ndarray:
         """Per-cell thresholds for the exact device engine.
 

@@ -30,12 +30,11 @@ import numpy as np
 from repro.dram.cell_model import CellPopulation, RowDisturbanceProfile
 from repro.dram.commands import Command, CommandKind
 from repro.dram.disturbance import DEFAULT_DISTURBANCE, DisturbanceModel
-from repro.dram.geometry import (DEFAULT_GEOMETRY, HBM2Geometry, RowAddress,
-                                 adjacent_rows)
+from repro.dram.geometry import DEFAULT_GEOMETRY, HBM2Geometry, RowAddress
 from repro.dram.mode_registers import ModeRegisters
 from repro.dram.retention import DEFAULT_RETENTION, RetentionModel
 from repro.dram.row_mapping import IdentityMapping, RowMapping
-from repro.dram.seeding import derive_seed
+from repro.dram.seeding import derive_seed, hash_pattern
 from repro.dram.timing import DEFAULT_TIMINGS, TimingParameters
 from repro.errors import TimingError
 from repro.dram.trr import TrrConfig, TrrEngine
@@ -88,6 +87,8 @@ class UniformProfileProvider:
         self.population = population
         self.seed = seed
         self.row_bits = row_bits
+        self._min_thresholds: Dict[Tuple[int, int, int, int, str],
+                                   float] = {}
 
     def profile(self, address: RowAddress,
                 pattern: str) -> RowDisturbanceProfile:
@@ -97,13 +98,15 @@ class UniformProfileProvider:
                            address.row, hash_pattern(pattern))
         return RowDisturbanceProfile(self.population, seed, self.row_bits)
 
-
-def hash_pattern(pattern: str) -> int:
-    """Stable integer id for a pattern name (order-independent)."""
-    value = 0
-    for char in pattern:
-        value = (value * 131 + ord(char)) & 0xFFFFFFFF
-    return value
+    def min_threshold(self, address: RowAddress, pattern: str) -> float:
+        """Memoized :meth:`RowDisturbanceProfile.threshold_floor`."""
+        key = (address.channel, address.pseudo_channel, address.bank,
+               address.row, pattern)
+        value = self._min_thresholds.get(key)
+        if value is None:
+            value = self.profile(address, pattern).threshold_floor()
+            self._min_thresholds[key] = value
+        return value
 
 
 @dataclass
@@ -217,6 +220,8 @@ class HBM2Stack:
         self._trr: Dict[Tuple[int, int], TrrEngine] = {}
         self._ref_pointer: Dict[Tuple[int, int], int] = {}
         self._pc_ref_time: Dict[Tuple[int, int], Dict[int, float]] = {}
+        #: ``disturbance.units_per_activation`` by (t_on, distance).
+        self._per_activation: Dict[Tuple[float, int], float] = {}
         for channel in range(geometry.channels):
             for pc in range(geometry.pseudo_channels):
                 self._trr[(channel, pc)] = TrrEngine(
@@ -662,23 +667,41 @@ class HBM2Stack:
         rows = self._rows.setdefault(physical.bank_key, {})
         state = rows.get(physical.row)
         if state is None:
-            state = _RowState(
-                data=np.zeros(self.geometry.row_bytes, dtype=np.uint8),
-                restored_at=0.0, pattern="Rowstripe0")
-            rows[physical.row] = state
+            state = rows[physical.row] = self._fresh_row()
         return state
+
+    def _fresh_row(self) -> _RowState:
+        """State of a never-written row: all zeros since power-up."""
+        return _RowState(
+            data=np.zeros(self.geometry.row_bytes, dtype=np.uint8),
+            restored_at=0.0, pattern="Rowstripe0")
 
     def _disturb_neighbors(self, physical: RowAddress, count: int,
                            t_on: float) -> None:
+        """Add one aggressor's disturbance to the rows of its subarray
+        within the blast radius (the rows ``adjacent_rows`` yields)."""
+        aggressor = physical.row
         radius = self.disturbance.blast_radius
+        lo, hi = self.geometry.subarrays.bounds_of(aggressor)
         temperature_factor = self.temperature_disturbance_factor()
-        for neighbor in adjacent_rows(physical, self.geometry, radius):
-            distance = abs(neighbor.row - physical.row)
-            units = count * temperature_factor \
-                * self.disturbance.units_per_activation(t_on, distance)
+        rows = self._rows.get(physical.bank_key)
+        for row in range(max(lo, aggressor - radius),
+                         min(hi, aggressor + radius + 1)):
+            if row == aggressor:
+                continue
+            key = (t_on, abs(row - aggressor))
+            per_act = self._per_activation.get(key)
+            if per_act is None:
+                per_act = self.disturbance.units_per_activation(*key)
+                self._per_activation[key] = per_act
+            units = count * temperature_factor * per_act
             if units <= 0:
                 continue
-            state = self._row_state(neighbor)
+            if rows is None:
+                rows = self._rows.setdefault(physical.bank_key, {})
+            state = rows.get(row)
+            if state is None:
+                state = rows[row] = self._fresh_row()
             state.acc_units += units
 
     def _last_restore(self, physical: RowAddress, state: _RowState) -> float:
@@ -692,17 +715,8 @@ class HBM2Stack:
         flips: List[np.ndarray] = []
         if state.acc_units > 0:
             if state.min_threshold is None:
-                # The analytic weak minimum equals materialize()'s
-                # weakest weak cell bit-for-bit (shared order-statistics
-                # stream); the strong population is truncated at -3
-                # sigma, so the combined bound is exact.
-                profile = self.profile_provider.profile(physical,
-                                                        state.pattern)
-                population = profile.population
-                strong_floor = 10.0 ** (population.mu_strong
-                                        - 3.0 * population.sigma_strong)
-                state.min_threshold = min(float(profile.hc_first()),
-                                          strong_floor)
+                state.min_threshold = self.profile_provider.min_threshold(
+                    physical, state.pattern)
             if state.acc_units >= state.min_threshold:
                 thresholds = self._thresholds_for(physical, state)
                 flips.append(np.flatnonzero(

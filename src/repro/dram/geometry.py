@@ -18,6 +18,8 @@ constraints while summing to exactly 16384 rows.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
@@ -51,40 +53,34 @@ class SubarrayLayout:
     @property
     def rows(self) -> int:
         """Total number of rows covered by the layout."""
-        return sum(self.sizes)
+        return self.boundaries[-1]
 
     @property
     def count(self) -> int:
         """Number of subarrays in the bank."""
         return len(self.sizes)
 
-    @property
+    @functools.cached_property
     def boundaries(self) -> Tuple[int, ...]:
         """Starting row of each subarray, plus the end sentinel."""
-        starts = [0]
-        for size in self.sizes:
-            starts.append(starts[-1] + size)
-        return tuple(starts)
+        return (0, *itertools.accumulate(self.sizes))
 
     def subarray_of(self, row: int) -> int:
         """Return the subarray index containing ``row``."""
         self._check_row(row)
-        offset = 0
-        for index, size in enumerate(self.sizes):
-            offset += size
-            if row < offset:
-                return index
-        raise AssertionError("unreachable: row bounds checked above")
+        return bisect.bisect_right(self.boundaries, row) - 1
+
+    def bounds_of(self, row: int) -> Tuple[int, int]:
+        """Row range ``[lo, hi)`` of the subarray containing ``row``."""
+        index = self.subarray_of(row)
+        bounds = self.boundaries
+        return bounds[index], bounds[index + 1]
 
     def position_in_subarray(self, row: int) -> Tuple[int, int, int]:
         """Return ``(subarray_index, offset, size)`` for ``row``."""
-        self._check_row(row)
-        start = 0
-        for index, size in enumerate(self.sizes):
-            if row < start + size:
-                return index, row - start, size
-            start += size
-        raise AssertionError("unreachable: row bounds checked above")
+        index = self.subarray_of(row)
+        start = self.boundaries[index]
+        return index, row - start, self.sizes[index]
 
     def rows_of(self, subarray: int) -> range:
         """Return the row range of subarray ``subarray``."""
@@ -228,18 +224,11 @@ def adjacent_rows(address: RowAddress, geometry: HBM2Geometry,
     isolate neighboring subarrays), which is exactly what the paper's
     subarray reverse engineering exploits (footnote 3).
     """
-    layout = geometry.subarrays
-    neighbors = []
-    for offset in range(-radius, radius + 1):
-        if offset == 0:
-            continue
-        row = address.row + offset
-        if not 0 <= row < geometry.rows:
-            continue
-        if not layout.same_subarray(address.row, row):
-            continue
-        neighbors.append(address.with_row(row))
-    return neighbors
+    lo, hi = geometry.subarrays.bounds_of(address.row)
+    return [address.with_row(row)
+            for row in range(max(lo, address.row - radius),
+                             min(hi, address.row + radius + 1))
+            if row != address.row]
 
 
 #: Geometry shared by every chip the paper tests.

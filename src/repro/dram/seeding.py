@@ -33,6 +33,18 @@ def derive_seed(*components: int) -> int:
     return state
 
 
+def hash_pattern(pattern: str) -> int:
+    """Stable integer id of a name (data pattern, experiment id).
+
+    Unlike ``hash()``, the value does not change between processes, so
+    it can key :func:`derive_seed` streams.
+    """
+    value = 0
+    for char in pattern:
+        value = (value * 131 + ord(char)) & 0xFFFFFFFF
+    return value
+
+
 def generator_for(*components: int) -> np.random.Generator:
     """Philox generator keyed by the mixed components."""
     seed = derive_seed(*components)

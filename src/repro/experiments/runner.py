@@ -58,7 +58,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dram.seeding import uniform_for
+from repro.dram.seeding import hash_pattern, uniform_for
 from repro.errors import (ExperimentError, ExperimentTimeoutError,
                           HbmSimError, WorkerCrashError)
 from repro.experiments.base import ExperimentResult
@@ -128,7 +128,6 @@ def backoff_delay(experiment_id: str, attempt: int,
     """
     if base <= 0:
         return 0.0
-    from repro.dram.device import hash_pattern  # stable string hash
     u = uniform_for(_TAG_BACKOFF, hash_pattern(experiment_id), attempt)
     return base * (2.0 ** max(0, attempt - 1)) * (1.0 + 0.5 * u)
 

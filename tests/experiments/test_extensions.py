@@ -1,5 +1,7 @@
 """Tests for the extension experiments (Section 8 implications)."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.registry import EXTENSIONS, run_experiment
@@ -56,3 +58,11 @@ class TestDefenseExtension:
             "benign_refreshes_per_kilo_act"]
         assert graphene < 0.2 * para
         assert result.data["BlockHammer"]["benign_slowdown"] < 0.01
+
+    def test_report_pinned(self, result):
+        digest = hashlib.sha256(result.text.encode()).hexdigest()[:16]
+        assert digest == "b14e4d9113b0804b"
+
+    def test_scalar_engine_is_byte_identical(self, result, monkeypatch):
+        monkeypatch.setenv("HBMSIM_BATCH", "0")
+        assert run_experiment("ext-defenses", 0.2).text == result.text
