@@ -24,7 +24,7 @@ from repro.chips.profiles import ChipProfile
 from repro.core import analytic, metrics
 from repro.core.patterns import ALL_PATTERNS
 from repro.dram.cell_model import WORD_BITS, WORD_CLUSTER_ALPHA
-from repro.dram.ecc import DecodeStatus, SecdedCodec, classify_flip_count
+from repro.dram.ecc import DecodeStatus, SecdedCodec
 
 
 @dataclass
@@ -72,22 +72,31 @@ def _distribute_flips(flips_per_row: np.ndarray, words_per_row: int,
 
     Uses the same Gamma-weighted clustering as the device's materialized
     cell positions, so the analytic histogram matches exact readouts.
+
+    Each non-zero row draws its word weights and then its multinomial
+    split, in row order, on ``rng``: the draws interleave on one stream,
+    so they cannot be batched across rows without moving the report
+    (DESIGN.md §7.9).  Only the clipping and tallying are vectorized.
     """
-    histogram: Dict[int, int] = {}
-    for flips in flips_per_row:
-        if flips <= 0:
-            continue
-        weights = rng.gamma(alpha, size=words_per_row)
-        total = weights.sum()
+    nonzero = flips_per_row[flips_per_row > 0]
+    counts = np.empty((nonzero.size, words_per_row), dtype=np.int64)
+    # ``standard_gamma`` is ``gamma`` at scale 1.0 and ``np.add.reduce``
+    # is what ``.sum()`` calls: same stream, same bits, less dispatch.
+    gamma = rng.standard_gamma
+    multinomial = rng.multinomial
+    add_reduce = np.add.reduce
+    for index, flips in enumerate(nonzero.tolist()):
+        weights = gamma(alpha, size=words_per_row)
+        total = add_reduce(weights)
         if total <= 0:
             weights = np.full(words_per_row, 1.0 / words_per_row)
         else:
-            weights = weights / total
-        counts = rng.multinomial(int(flips), weights)
-        counts = np.minimum(counts, WORD_BITS)
-        for value in counts[counts > 0]:
-            histogram[int(value)] = histogram.get(int(value), 0) + 1
-    return histogram
+            weights /= total
+        counts[index] = multinomial(flips, weights)
+    np.minimum(counts, WORD_BITS, out=counts)
+    tally = np.bincount(counts.ravel())
+    return {int(value): int(tally[value])
+            for value in np.flatnonzero(tally) if value > 0}
 
 
 def word_level_study(chip: ChipProfile,
@@ -105,13 +114,13 @@ def word_level_study(chip: ChipProfile,
     rows = analytic.stratified_rows(geometry.rows, rows_per_channel)
     total_words = int(rows.size * geometry.channels * words_per_row)
     study = WordLevelStudy(chip.label, hammer_count, total_words)
+    eff = analytic.effective_hammers(chip, hammer_count)
     for pattern in patterns:
         buckets = {1: 0, 2: 0, 3: 0}
         max_flips = 0
         for channel in range(geometry.channels):
             grid = analytic.population_grid(chip, channel, pseudo_channel,
                                             bank, rows, pattern)
-            eff = analytic.effective_hammers(chip, hammer_count)
             ber = grid.ber(eff)
             flips = rng.binomial(geometry.row_bits, ber)
             histogram = _distribute_flips(flips, words_per_row, rng)

@@ -16,8 +16,9 @@ undetected) instead of assuming the textbook guarantees.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -60,10 +61,20 @@ class SecdedCodec:
         """Total codeword length including overall parity (72 for 64)."""
         return self.data_bits + self.check_bits + 1
 
+    @functools.cached_property
     def _data_positions(self) -> np.ndarray:
+        """Codeword indices of the data bits (non-power-of-two slots)."""
         positions = [p for p in range(1, self.codeword_bits)
                      if not _is_power_of_two(p)]
         return np.array(positions[: self.data_bits])
+
+    @functools.cached_property
+    def _parity_groups(self) -> List[np.ndarray]:
+        """Per check bit ``1 << r``: every position whose index has bit
+        ``r`` set, the check bit itself included."""
+        return [np.array([p for p in range(1, self.codeword_bits)
+                          if p & (1 << r)])
+                for r in range(self.check_bits)]
 
     def encode(self, data: np.ndarray) -> np.ndarray:
         """Encode ``data_bits`` bits into a ``codeword_bits`` array.
@@ -75,12 +86,11 @@ class SecdedCodec:
         if data.shape != (self.data_bits,):
             raise ValueError(f"expected {self.data_bits} data bits")
         codeword = np.zeros(self.codeword_bits, dtype=np.uint8)
-        codeword[self._data_positions()] = data
-        for r in range(self.check_bits):
-            parity_pos = 1 << r
-            covered = [p for p in range(1, self.codeword_bits)
-                       if (p & parity_pos) and p != parity_pos]
-            codeword[parity_pos] = np.bitwise_xor.reduce(codeword[covered])
+        codeword[self._data_positions] = data
+        # A group holds no other check bit, and its own is still zero
+        # here, so XOR-ing the whole group yields the check bit.
+        for r, group in enumerate(self._parity_groups):
+            codeword[1 << r] = np.bitwise_xor.reduce(codeword[group])
         codeword[0] = np.bitwise_xor.reduce(codeword[1:])
         return codeword
 
@@ -96,23 +106,20 @@ class SecdedCodec:
         if codeword.shape != (self.codeword_bits,):
             raise ValueError(f"expected {self.codeword_bits} codeword bits")
         syndrome = 0
-        for r in range(self.check_bits):
-            parity_pos = 1 << r
-            covered = [p for p in range(1, self.codeword_bits)
-                       if p & parity_pos]
-            if np.bitwise_xor.reduce(codeword[covered]):
-                syndrome |= parity_pos
+        for r, group in enumerate(self._parity_groups):
+            if np.bitwise_xor.reduce(codeword[group]):
+                syndrome |= 1 << r
         overall = int(np.bitwise_xor.reduce(codeword))
         if syndrome == 0 and overall == 0:
-            return codeword[self._data_positions()], DecodeStatus.OK
+            return codeword[self._data_positions], DecodeStatus.OK
         if overall == 1:
             # Decoder believes: single error (possibly in the parity bit).
             if 0 < syndrome < self.codeword_bits:
                 codeword[syndrome] ^= 1
             status = DecodeStatus.CORRECTED
-            return codeword[self._data_positions()], status
+            return codeword[self._data_positions], status
         # Non-zero syndrome with even parity: double error detected.
-        return codeword[self._data_positions()], DecodeStatus.DETECTED
+        return codeword[self._data_positions], DecodeStatus.DETECTED
 
     def evaluate_flips(self, data: np.ndarray,
                        flip_positions: np.ndarray) -> DecodeStatus:
@@ -131,7 +138,7 @@ class SecdedCodec:
                 raise ValueError("flip position out of codeword range")
             corrupted[flip_positions] ^= 1
         decoded, status = self.decode(corrupted)
-        truth = encoded[self._data_positions()]
+        truth = encoded[self._data_positions]
         if status is DecodeStatus.DETECTED:
             return DecodeStatus.DETECTED
         if np.array_equal(decoded, truth):

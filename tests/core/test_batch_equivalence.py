@@ -7,7 +7,7 @@ Three invariants from the batched-engine contract:
 - the ``*_multi`` WCDP helpers equal their scalar per-combo forms,
 - the experiment reports are byte-identical with batching on and off
   (``HBMSIM_BATCH=0``), pinning the seed reference hashes for fig05 and
-  fig07.
+  fig07, and fig15's at two smoke scales.
 """
 
 import hashlib
@@ -122,6 +122,12 @@ class TestExperimentEquivalence:
 
     def test_fig07_reference_hash(self):
         assert report_hash("fig07", 0.25) == "e22a1494c3310f21"
+
+    @pytest.mark.parametrize("scale,expected",
+                             [(0.02, "6fcf06d929cebebf"),
+                              (0.06, "0c1cb22a0726de4b")])
+    def test_fig15_reference_hash(self, scale, expected):
+        assert report_hash("fig15", scale) == expected
 
     @pytest.mark.parametrize("experiment_id,scale",
                              [("fig04", 0.02), ("fig08", 0.02),

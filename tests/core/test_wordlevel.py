@@ -1,9 +1,13 @@
 """Tests for the Section 8 word-level / ECC analysis."""
 
+from typing import Dict
+
 import numpy as np
 import pytest
 
-from repro.core.wordlevel import (secded_outcomes, word_level_study)
+from repro.core.wordlevel import (_distribute_flips, secded_outcomes,
+                                  word_level_study)
+from repro.dram.cell_model import WORD_BITS, WORD_CLUSTER_ALPHA
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +70,90 @@ class TestSecdedOutcomes:
         outcomes = secded_outcomes(study, "Checkered0", sample_size=400)
         assert outcomes.miscorrected > 0
         assert outcomes.silent_failure_fraction > 0.0
+
+
+def _reference_distribute_flips(flips_per_row, words_per_row, rng,
+                                alpha=WORD_CLUSTER_ALPHA) -> Dict[int, int]:
+    """The original per-row loop, kept verbatim as the equivalence oracle."""
+    histogram: Dict[int, int] = {}
+    for flips in flips_per_row:
+        if flips <= 0:
+            continue
+        weights = rng.gamma(alpha, size=words_per_row)
+        total = weights.sum()
+        if total <= 0:
+            weights = np.full(words_per_row, 1.0 / words_per_row)
+        else:
+            weights = weights / total
+        counts = rng.multinomial(int(flips), weights)
+        counts = np.minimum(counts, WORD_BITS)
+        for value in counts[counts > 0]:
+            histogram[int(value)] = histogram.get(int(value), 0) + 1
+    return histogram
+
+
+class _ZeroGammaGenerator:
+    """Generator stand-in whose Gamma draws are all zero, forcing the
+    uniform-weight fallback; every other draw goes to a real stream."""
+
+    def __init__(self, seed):
+        self.inner = np.random.default_rng(seed)
+
+    def gamma(self, alpha, size=None):
+        return np.zeros(size)
+
+    def standard_gamma(self, alpha, size=None):
+        return np.zeros(size)
+
+    def multinomial(self, n, pvals):
+        return self.inner.multinomial(n, pvals)
+
+
+def _assert_same_draws(flips, words_per_row, seed, **kwargs):
+    """New tally == reference tally, and both leave ``rng`` in the same
+    state (same generator calls in the same order)."""
+    reference_rng = np.random.default_rng(seed)
+    expected = _reference_distribute_flips(flips, words_per_row,
+                                           reference_rng, **kwargs)
+    rng = np.random.default_rng(seed)
+    actual = _distribute_flips(flips, words_per_row, rng, **kwargs)
+    assert actual == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return actual
+
+
+class TestDistributeFlipsEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 37, 2024])
+    def test_random_rows_with_zero_rows(self, seed):
+        source = np.random.default_rng(1000 + seed)
+        flips = source.binomial(8192, 0.01, size=300)
+        flips[source.random(300) < 0.3] = 0
+        flips[5] = -1
+        histogram = _assert_same_draws(flips, 128, seed)
+        assert histogram and 0 not in histogram
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_other_alpha(self, seed):
+        flips = np.random.default_rng(seed).integers(0, 40, size=100)
+        _assert_same_draws(flips, 16, seed, alpha=2.5)
+
+    @pytest.mark.parametrize("flips", [np.zeros(50, dtype=np.int64),
+                                       np.zeros(0, dtype=np.int64)])
+    def test_all_zero_rows(self, flips):
+        assert _assert_same_draws(flips, 128, 11) == {}
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_word_bits_clipping(self, seed):
+        flips = np.random.default_rng(seed).integers(100, 400, size=40)
+        histogram = _assert_same_draws(flips, 2, seed)
+        assert max(histogram) == WORD_BITS
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_zero_gamma_fallback(self, seed):
+        flips = np.random.default_rng(seed).integers(0, 90, size=60)
+        reference_rng = _ZeroGammaGenerator(seed)
+        expected = _reference_distribute_flips(flips, 8, reference_rng)
+        rng = _ZeroGammaGenerator(seed)
+        assert _distribute_flips(flips, 8, rng) == expected
+        assert (rng.inner.bit_generator.state
+                == reference_rng.inner.bit_generator.state)

@@ -1,5 +1,7 @@
 """Tests for the SECDED and Hamming(7,4) codecs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,93 @@ class TestSecdedRoundtrip:
             _codec.encode(np.zeros(63, dtype=np.uint8))
         with pytest.raises(ValueError):
             _codec.decode(np.zeros(71, dtype=np.uint8))
+
+
+def _reference_data_positions(codec):
+    positions = [p for p in range(1, codec.codeword_bits)
+                 if p & (p - 1)]
+    return np.array(positions[: codec.data_bits])
+
+
+def _reference_encode(codec, data):
+    """The original list-comprehension encoder, kept as an oracle."""
+    codeword = np.zeros(codec.codeword_bits, dtype=np.uint8)
+    codeword[_reference_data_positions(codec)] = data
+    for r in range(codec.check_bits):
+        parity_pos = 1 << r
+        covered = [p for p in range(1, codec.codeword_bits)
+                   if (p & parity_pos) and p != parity_pos]
+        codeword[parity_pos] = np.bitwise_xor.reduce(codeword[covered])
+    codeword[0] = np.bitwise_xor.reduce(codeword[1:])
+    return codeword
+
+
+def _reference_decode(codec, codeword):
+    """The original list-comprehension decoder, kept as an oracle."""
+    codeword = np.asarray(codeword, dtype=np.uint8).copy()
+    data_positions = _reference_data_positions(codec)
+    syndrome = 0
+    for r in range(codec.check_bits):
+        parity_pos = 1 << r
+        covered = [p for p in range(1, codec.codeword_bits)
+                   if p & parity_pos]
+        if np.bitwise_xor.reduce(codeword[covered]):
+            syndrome |= parity_pos
+    overall = int(np.bitwise_xor.reduce(codeword))
+    if syndrome == 0 and overall == 0:
+        return codeword[data_positions], DecodeStatus.OK
+    if overall == 1:
+        if 0 < syndrome < codec.codeword_bits:
+            codeword[syndrome] ^= 1
+        return codeword[data_positions], DecodeStatus.CORRECTED
+    return codeword[data_positions], DecodeStatus.DETECTED
+
+
+def _reference_evaluate_flips(codec, data, flip_positions):
+    encoded = _reference_encode(codec, data)
+    corrupted = encoded.copy()
+    corrupted[np.asarray(flip_positions, dtype=int)] ^= 1
+    decoded, status = _reference_decode(codec, corrupted)
+    if status is DecodeStatus.DETECTED:
+        return DecodeStatus.DETECTED
+    if np.array_equal(decoded, encoded[_reference_data_positions(codec)]):
+        return status
+    return DecodeStatus.MISCORRECTED
+
+
+class TestSecdedCachedTables:
+    """The cached index tables reproduce the original codec exactly."""
+
+    def _flip_sets(self):
+        rng = np.random.default_rng(99)
+        singles = [(p,) for p in range(72)]
+        doubles = list(itertools.combinations(range(72), 2))
+        multis = [tuple(rng.choice(72, size=int(rng.integers(3, 7)),
+                                   replace=False)) for __ in range(200)]
+        assert len(singles) == 72 and len(doubles) == 2556
+        return singles + doubles + multis
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_codec(self, seed):
+        data = np.random.default_rng(seed).integers(
+            0, 2, 64).astype(np.uint8)
+        encoded = _codec.encode(data)
+        assert np.array_equal(encoded, _reference_encode(_codec, data))
+        for flips in self._flip_sets():
+            positions = np.array(flips)
+            corrupted = encoded.copy()
+            corrupted[positions] ^= 1
+            decoded, status = _codec.decode(corrupted)
+            ref_decoded, ref_status = _reference_decode(_codec, corrupted)
+            assert status is ref_status, flips
+            assert np.array_equal(decoded, ref_decoded), flips
+            assert (_codec.evaluate_flips(data, positions)
+                    is _reference_evaluate_flips(_codec, data, positions))
+
+    def test_tables_built_once(self):
+        codec = SecdedCodec()
+        assert codec._data_positions is codec._data_positions
+        assert codec._parity_groups is codec._parity_groups
 
 
 class TestHamming74:
