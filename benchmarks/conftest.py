@@ -11,22 +11,14 @@ suite finishes in minutes; set ``HBMSIM_SCALE`` to scale all of them
 a base of 0.05 reaches 1.0).
 """
 
-import os
 import pathlib
 
 import pytest
 
+from repro.config import default_scale
 from repro.experiments.registry import run_experiment
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
-
-
-def _global_scale() -> float:
-    value = os.environ.get("HBMSIM_SCALE", "1.0")
-    scale = float(value)
-    if scale <= 0:
-        raise ValueError("HBMSIM_SCALE must be positive")
-    return scale
 
 
 @pytest.fixture
@@ -34,7 +26,7 @@ def run_artifact(benchmark):
     """Benchmark one experiment and persist its rendered report."""
 
     def runner(experiment_id: str, base_scale: float = 1.0):
-        scale = min(1.0, base_scale * _global_scale())
+        scale = min(1.0, base_scale * default_scale())
         result = benchmark.pedantic(
             run_experiment, args=(experiment_id, scale), iterations=1,
             rounds=1)

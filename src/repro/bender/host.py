@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.bender.interpreter import ExecutionResult, Interpreter
 from repro.bender.program import TestProgram
-from repro.dram.batch import (RowBatchProfile, batch_enabled,
-                              engine_supported)
+from repro.config import batch_enabled
+from repro.dram.batch import RowBatchProfile, engine_supported
 from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import RowMapping

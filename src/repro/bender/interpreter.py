@@ -14,6 +14,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Tuple)
 import numpy as np
 
 from repro.bender.program import ReadRequest, TestProgram
+from repro.config import LintMode, lint_mode
 from repro.dram.device import HBM2Stack
 from repro.dram.timing import TimingParameters
 from repro.faults import FaultPlan, active_plan, wrap_device
@@ -34,13 +35,11 @@ def pre_execution_gate(program: TestProgram,
     the mode themselves and stream instead (:meth:`Interpreter.
     run_checked`).
     """
-    # Lazy imports: the gate is off by default and the lint layer
-    # must not weigh on (or cycle with) the interpreter hot path.
-    from repro.lint.config import LintMode, lint_mode
-
     mode = lint_mode()
     if mode is LintMode.OFF:
         return
+    # Lazy import: the gate is off by default and the lint layer must
+    # not weigh on (or cycle with) the interpreter hot path.
     from repro.lint.protocol import verify_program
 
     report = verify_program(program, timings=timings)
@@ -124,8 +123,6 @@ class Interpreter:
 
     def run(self, program: TestProgram) -> ExecutionResult:
         """Replay ``program``, returning tagged reads and statistics."""
-        from repro.lint.config import LintMode, lint_mode
-
         if lint_mode() is LintMode.ONLINE:
             result, __ = self.run_checked(program)
             return result

@@ -13,7 +13,8 @@ Layout and invalidation
 
 - Location: ``$HBMSIM_CACHE_DIR`` if set, else ``$XDG_CACHE_HOME/hbmsim``,
   else ``~/.cache/hbmsim``.  Set ``HBMSIM_NO_CACHE=1`` to disable reads
-  *and* writes (every process recalibrates, as before).
+  *and* writes (every process recalibrates, as before).  Both knobs are
+  parsed by :mod:`repro.config`.
 - Key: SHA-256 over a canonical JSON rendering of the chip spec, the
   geometry, the calibration constants (pattern/bank/subarray factor
   tables, sigma couplings, the BER test hammer count), and
@@ -40,22 +41,15 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-_ENV_DIR = "HBMSIM_CACHE_DIR"
-_ENV_DISABLE = "HBMSIM_NO_CACHE"
-
-
-def cache_enabled() -> bool:
-    """Whether the calibration cache is active for this process."""
-    return os.environ.get(_ENV_DISABLE, "") not in ("1", "true", "yes")
+from repro import config
 
 
 def cache_dir() -> Path:
     """Resolve the cache directory (without creating it)."""
-    override = os.environ.get(_ENV_DIR, "")
-    if override:
-        return Path(override).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
+    override = config.path(config.CACHE_DIR)
+    if override is not None:
+        return override
+    base = config.path(config.XDG_CACHE_HOME) or Path.home() / ".cache"
     return base / "hbmsim"
 
 
@@ -111,7 +105,7 @@ def _entry_path(key: str) -> Path:
 
 def load_base_f_weak(spec, geometry) -> Optional[float]:
     """Cached refined ``base_f_weak``, or ``None`` on miss/disabled."""
-    if not cache_enabled():
+    if not config.cache_enabled():
         return None
     path = _entry_path(cache_key(spec, geometry))
     try:
@@ -124,7 +118,7 @@ def load_base_f_weak(spec, geometry) -> Optional[float]:
 def store_base_f_weak(spec, geometry, value: float) -> bool:
     """Persist a refined ``base_f_weak``; returns False when disabled or
     the cache directory is unwritable (never raises)."""
-    if not cache_enabled():
+    if not config.cache_enabled():
         return False
     payload = {
         "base_f_weak_hex": float(value).hex(),

@@ -31,10 +31,10 @@ from scipy.special import ndtr, ndtri
 from repro.chips.profiles import (_PATTERN_BER, _SIGMA_HC_COUPLING,
                                   _SIGMA_N_COUPLING, _SIGMA_WEAK_CLAMP,
                                   ChipProfile)
+from repro.config import cells_chunk_elems
 from repro.dram.cell_model import (DEFAULT_MU_STRONG, DEFAULT_SIGMA_STRONG,
                                    DEFAULT_SIGMA_WEAK,
                                    order_stats_from_draws)
-from repro.dram.cells import cells_chunk_elems
 from repro.dram.seeding import (fold_seed_states, hash_pattern,
                                 normals_from_states, seed_array_mixed,
                                 uniforms_from_seeds, uniforms_from_states)

@@ -23,10 +23,10 @@ from repro.chips.profiles import ChipProfile
 from repro.chips.vectorized import (PopulationBatch, PopulationGrid,
                                     population_batch, population_combos,
                                     population_grid)
+from repro.config import cells_chunk_elems
 from repro.core import metrics
 from repro.core.patterns import ALL_PATTERNS
-from repro.dram.cells import (allocate_cells, cells_chunk_elems,
-                              chunk_combo_blocks)
+from repro.dram.cells import allocate_cells, chunk_combo_blocks
 from repro.dram.geometry import RowAddress
 
 #: One (channel, pseudo_channel, bank) coordinate of a study sweep.

@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chips.profiles import ChipProfile
+from repro.config import batch_enabled
 from repro.core import analytic
 from repro.core.patterns import ALL_PATTERNS
 from repro.analysis.fits import pearson_correlation, polynomial_fit
-from repro.dram.batch import batch_enabled
 
 #: Paper population: 32 rows per segment, 3 segments, 2 channels per chip.
 ROWS_PER_SEGMENT = 32

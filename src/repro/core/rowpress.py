@@ -29,8 +29,8 @@ from repro.bender.host import BenderSession
 from repro.bender.routines.ber_test import RowBerResult, measure_row_ber
 from repro.bender.routines.rowinit import initialize_window
 from repro.chips.profiles import ChipProfile
+from repro.config import batch_enabled
 from repro.core import analytic, metrics
-from repro.dram.batch import batch_enabled
 from repro.dram.geometry import RowAddress
 from repro.dram.timing import DEFAULT_TIMINGS
 

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chips.profiles import ChipProfile
+from repro.config import batch_enabled
 from repro.core import analytic, metrics
 from repro.core.patterns import ALL_PATTERNS
-from repro.dram.batch import batch_enabled
 
 #: Pattern columns reported by the figures (Table 1 order plus WCDP).
 PATTERN_COLUMNS = tuple(p.name for p in ALL_PATTERNS) + ("WCDP",)

@@ -21,7 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.dram.batch import batch_enabled
+from repro.config import batch_enabled
 from repro.dram.device import HBM2Stack
 from repro.dram.commands import Command, CommandKind
 from repro.dram.geometry import RowAddress

@@ -52,13 +52,13 @@ REF-heavy defense workloads skip per-command execution entirely.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.dram.cells import allocate_cells, cells_chunk_elems
+from repro.config import cells_chunk_elems
+from repro.dram.cells import allocate_cells
 from repro.dram.device import ROW_IO_NS, HBM2Stack, classify_victim_pattern
 from repro.dram.geometry import RowAddress
 from repro.dram.timing import TimingParameters
@@ -68,38 +68,6 @@ from repro.dram.timing import TimingParameters
 #: ``repro.bender.routines.rowinit.PATTERN_RADIUS`` without importing the
 #: bender layer from the dram layer.
 PATTERN_RADIUS = 8
-
-_ENV_FLAG = "HBMSIM_BATCH"
-_DISABLE_VALUES = frozenset({"0", "false", "no", "off"})
-_ENABLE_VALUES = frozenset({"1", "true", "yes", "on", ""})
-#: Unrecognized ``HBMSIM_BATCH`` values already warned about (warn once
-#: per distinct value, not once per call — the flag is read on every
-#: batching decision).
-_WARNED_VALUES: set = set()
-
-
-def batch_enabled() -> bool:
-    """Whether batched execution is enabled (``HBMSIM_BATCH`` escape
-    hatch; ``0/false/no/off`` disables, ``1/true/yes/on`` enables,
-    default enabled).  Any other value warns once and keeps batching
-    enabled — a typo like ``HBMSIM_BATCH=00`` must not silently select
-    an engine the user did not ask for.
-    """
-    value = os.environ.get(_ENV_FLAG)
-    if value is None:
-        return True
-    normalized = value.strip().lower()
-    if normalized in _DISABLE_VALUES:
-        return False
-    if normalized not in _ENABLE_VALUES and value not in _WARNED_VALUES:
-        _WARNED_VALUES.add(value)
-        import warnings
-
-        warnings.warn(
-            f"unrecognized {_ENV_FLAG}={value!r}; expected one of "
-            "0/false/no/off or 1/true/yes/on — batching stays enabled",
-            RuntimeWarning, stacklevel=2)
-    return True
 
 
 def engine_supported(device: object) -> bool:

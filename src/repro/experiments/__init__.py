@@ -5,7 +5,6 @@ paper artifact ids (``table1`` .. ``fig15``) to runners.  The benchmark
 suite under ``benchmarks/`` invokes these same runners.
 """
 
-from repro.experiments.base import (ExperimentResult, default_scale,
-                                    scaled)
+from repro.experiments.base import ExperimentResult, scaled
 
-__all__ = ["ExperimentResult", "default_scale", "scaled"]
+__all__ = ["ExperimentResult", "scaled"]

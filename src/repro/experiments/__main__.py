@@ -22,9 +22,9 @@ import argparse
 import sys
 import time
 
+from repro.config import default_scale
 from repro.errors import ExperimentError, HbmSimError, UnknownExperimentError
 from repro.experiments import bench
-from repro.experiments.base import default_scale
 from repro.experiments.registry import (EXPERIMENTS, EXTENSIONS, SHARDABLE,
                                        run_timed, validate_ids)
 from repro.experiments.runner import DEFAULT_RETRY_DELAY

@@ -1,10 +1,10 @@
 """Lightweight perf-regression harness for the experiment suite.
 
-Every benchmarked sweep appends one run record to
-``BENCH_experiments.json`` (override with ``HBMSIM_BENCH_PATH`` or the
-``path`` argument), so per-experiment wall times are tracked from PR to
-PR instead of living in commit messages.  The file is a single JSON
-document::
+Every benchmarked sweep appends one run record to the JSON file at
+``path`` (the CLI's ``--bench`` defaults it to
+``BENCH_experiments.json``), so per-experiment wall times are tracked
+from PR to PR instead of living in commit messages.  The file is a
+single JSON document::
 
     {
       "schema": 4,
@@ -73,11 +73,11 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
 
 from repro.chips import cache as calibration_cache
+from repro.config import batch_enabled, cache_enabled
 
 #: Default bench record, relative to the invoking working directory.
 DEFAULT_BENCH_PATH = "BENCH_experiments.json"
 
-_ENV_PATH = "HBMSIM_BENCH_PATH"
 _SCHEMA = 5
 
 #: How long a concurrent writer waits for the lock before giving up.
@@ -86,18 +86,13 @@ _LOCK_TIMEOUT_S = 10.0
 _LOCK_STALE_S = 30.0
 
 
-def bench_path(path: Optional[str] = None) -> Path:
-    """Resolve the bench record path (argument > env > default)."""
-    return Path(path or os.environ.get(_ENV_PATH, DEFAULT_BENCH_PATH))
-
-
 def cache_state() -> str:
     """Classify the calibration cache for the run about to start.
 
     "disabled" when ``HBMSIM_NO_CACHE`` is set, "warm" when the cache
     directory already holds calibration entries, else "cold".
     """
-    if not calibration_cache.cache_enabled():
+    if not cache_enabled():
         return "disabled"
     directory = calibration_cache.cache_dir()
     try:
@@ -348,7 +343,7 @@ def compare_runs(path_a: Union[str, Path],
 
     runs = {}
     for label, path in (("A", path_a), ("B", path_b)):
-        loaded = _load(bench_path(str(path)))["runs"]
+        loaded = _load(Path(path))["runs"]
         if not loaded:
             raise HbmSimError(f"no bench runs recorded in {path}")
         runs[label] = loaded[-1]
@@ -398,14 +393,13 @@ def compare_runs(path_a: Union[str, Path],
 
 
 def record_run(timings: Union[Dict[str, float], Iterable],
-               scale: float, jobs: int = 1,
+               scale: float, path: Union[str, Path], jobs: int = 1,
                cache: Optional[str] = None,
-               path: Optional[str] = None,
                batch: Optional[bool] = None,
                wall_seconds: Optional[float] = None,
                repeats: int = 1,
                faults: Optional[bool] = None) -> Path:
-    """Append one run record; returns the path written.
+    """Append one run record to ``path``; returns the path written.
 
     ``timings`` maps experiment id -> wall seconds (or a schema-2 entry
     dict), or is an iterable of
@@ -425,7 +419,7 @@ def record_run(timings: Union[Dict[str, float], Iterable],
     through a lock file so no record is ever lost.
     """
     entries = _as_entries(timings)
-    target = bench_path(path)
+    target = Path(path)
     with _exclusive_lock(target):
         return _append_run(target, entries, scale, jobs, cache, batch,
                            wall_seconds, repeats, faults)
@@ -436,7 +430,6 @@ def _append_run(target: Path, entries: Dict[str, dict], scale: float,
                 wall_seconds: Optional[float], repeats: int = 1,
                 faults: Optional[bool] = None) -> Path:
     if batch is None:
-        from repro.dram.batch import batch_enabled
         batch = batch_enabled()
     if faults is None:
         from repro.faults import active_plan

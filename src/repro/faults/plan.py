@@ -39,17 +39,15 @@ fault-free run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.config import fault_spec
 from repro.dram.seeding import (generator_for, uniform_array_for,
                                 uniform_array_mixed, uniform_for)
 from repro.errors import FaultPlanError
-
-_ENV_PLAN = "HBMSIM_FAULTS"
 
 # Fault-kind tags folded into the seed chain (arbitrary, fixed).  They
 # live here — not in the injector — so both the scalar ``FaultyStack``
@@ -445,7 +443,7 @@ def active_plan() -> Optional[FaultPlan]:
     global _env_cache
     if _installed is not None:
         return _installed
-    spec = os.environ.get(_ENV_PLAN) or None
+    spec = fault_spec()
     cached_spec, cached_plan = _env_cache
     if spec == cached_spec:
         return cached_plan

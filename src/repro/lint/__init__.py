@@ -21,13 +21,12 @@ seeded per-cell thresholds):
 
 Run both from the command line with ``python -m repro.lint src/repro``;
 gate program execution with ``HBMSIM_LINT=strict|warn|online|off`` (see
-:mod:`repro.lint.config`).  Intentional exceptions live in
+:class:`repro.config.LintMode`).  Intentional exceptions live in
 ``lint/baseline.json`` (:mod:`repro.lint.baseline`).
 """
 
 from repro.lint.baseline import (Baseline, BaselineError, Suppression,
                                  load_baseline)
-from repro.lint.config import LintMode, lint_mode
 from repro.lint.determinism import (DETERMINISM_RULES, lint_file,
                                     lint_source, lint_tree)
 from repro.lint.findings import Finding, Rule, RuleCatalog
@@ -38,7 +37,6 @@ from repro.lint.stream import (StreamingVerifier, TimingChecker,
 
 __all__ = [
     "Baseline", "BaselineError", "Suppression", "load_baseline",
-    "LintMode", "lint_mode",
     "DETERMINISM_RULES", "lint_file", "lint_source", "lint_tree",
     "Finding", "Rule", "RuleCatalog",
     "PROTOCOL_RULES", "VerificationReport", "verify_program",

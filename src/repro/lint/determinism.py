@@ -28,10 +28,9 @@ D103      mutable-default     mutable default argument values
                               (``def f(x=[])``).
 D104      bare-except         ``except:`` with no exception type.
 D105      env-read            direct ``os.environ`` / ``os.getenv``
-                              reads outside entry-point modules
-                              (``__main__.py``); configuration modules
-                              carry explicit, reviewed suppressions in
-                              ``lint/baseline.json``.
+                              reads outside the run-configuration
+                              module (``repro/config.py``) and
+                              entry-point modules (``__main__.py``).
 ========  ==================  ========================================
 """
 
@@ -93,9 +92,9 @@ WALL_CLOCK_ALLOWED = (
     "repro/experiments/perf_gate.py",
 )
 
-#: Entry-point modules may read the environment directly; every other
-#: exception must be an explicit baseline suppression.
-ENV_READ_ALLOWED_NAMES = ("__main__.py",)
+#: The run-configuration module and entry-point modules may read the
+#: environment directly; everything else asks :mod:`repro.config`.
+ENV_READ_ALLOWED_NAMES = ("repro/config.py", "__main__.py")
 
 
 def _is_mutable_literal(node: ast.AST) -> bool:
@@ -231,8 +230,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             self._report(
                 "D105",
                 "os.getenv() outside a config/entry-point module; "
-                "route configuration through a dedicated config "
-                "module (baseline-suppressed when intentional)", node)
+                "read configuration through repro.config", node)
 
     # -- non-call environment access ------------------------------------
 
@@ -242,9 +240,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             self._report(
                 "D105",
                 "os.environ access outside a config/entry-point "
-                "module; route configuration through a dedicated "
-                "config module (baseline-suppressed when intentional)",
-                node)
+                "module; read configuration through repro.config", node)
         self.generic_visit(node)
 
     # -- function definitions -------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for the cross-process calibration cache (bit-identity)."""
 
 import json
+import warnings
 
 import pytest
 
+from repro import config
 from repro.chips import cache
 from repro.chips.profiles import CHIP_SPECS, ChipProfile
 from repro.dram.geometry import DEFAULT_GEOMETRY
@@ -36,12 +38,36 @@ class TestResolution:
         monkeypatch.setenv("HOME", str(tmp_path))
         assert cache.cache_dir() == tmp_path / ".cache" / "hbmsim"
 
-    @pytest.mark.parametrize("value", ["1", "true", "yes"])
+    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "TRUE",
+                                       "Yes", " 1", "on\n"])
     def test_disable_env(self, cache_dir, monkeypatch, value):
         monkeypatch.setenv("HBMSIM_NO_CACHE", value)
-        assert not cache.cache_enabled()
+        assert not config.cache_enabled()
         assert cache.load_base_f_weak(SPEC, GEOMETRY) is None
         assert not cache.store_base_f_weak(SPEC, GEOMETRY, 0.5)
+
+    @pytest.mark.parametrize("value", ["0", "false", "no", "off", "OFF",
+                                       "", "  "])
+    def test_keep_env(self, cache_dir, monkeypatch, value):
+        monkeypatch.setenv("HBMSIM_NO_CACHE", value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert config.cache_enabled()
+
+    def test_unrecognized_warns_once_and_keeps_cache(self, cache_dir,
+                                                     monkeypatch):
+        monkeypatch.setattr(config, "_WARNED", set())
+        monkeypatch.setenv("HBMSIM_NO_CACHE", "disable-please")
+        with pytest.warns(RuntimeWarning, match="HBMSIM_NO_CACHE"):
+            assert config.cache_enabled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert config.cache_enabled()
+
+    def test_blank_dir_means_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBMSIM_CACHE_DIR", "  ")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert cache.cache_dir() == tmp_path / "hbmsim"
 
 
 class TestRoundtrip:

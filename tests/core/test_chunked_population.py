@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.chips.profiles import make_chip
+from repro.config import (DEFAULT_CHUNK_ELEMS, cells_chunk_elems,
+                          cells_mmap_enabled)
 from repro.core import analytic
-from repro.dram import cells
 from repro.dram.batch import RowBatchProfile
-from repro.dram.cells import (DEFAULT_CHUNK_ELEMS, allocate_cells,
-                              cells_chunk_elems, cells_mmap_enabled,
-                              chunk_combo_blocks)
+from repro.dram.cells import allocate_cells, chunk_combo_blocks
 from repro.dram.geometry import RowAddress
 
 CHIP = make_chip(0)
@@ -39,32 +39,32 @@ ROWS = analytic.stratified_rows(CHIP.geometry.rows, 48)
 @contextmanager
 def chunk_env(value):
     """Temporarily pin ``HBMSIM_CELLS_CHUNK`` (None = unset)."""
-    saved = os.environ.get(cells._CHUNK_ENV)
+    saved = os.environ.get(config.CELLS_CHUNK)
     try:
         if value is None:
-            os.environ.pop(cells._CHUNK_ENV, None)
+            os.environ.pop(config.CELLS_CHUNK, None)
         else:
-            os.environ[cells._CHUNK_ENV] = str(value)
+            os.environ[config.CELLS_CHUNK] = str(value)
         yield
     finally:
         if saved is None:
-            os.environ.pop(cells._CHUNK_ENV, None)
+            os.environ.pop(config.CELLS_CHUNK, None)
         else:
-            os.environ[cells._CHUNK_ENV] = saved
+            os.environ[config.CELLS_CHUNK] = saved
 
 
 @contextmanager
 def mmap_env(value):
     """Temporarily pin ``HBMSIM_CELLS_MMAP``."""
-    saved = os.environ.get(cells._MMAP_ENV)
+    saved = os.environ.get(config.CELLS_MMAP)
     try:
-        os.environ[cells._MMAP_ENV] = value
+        os.environ[config.CELLS_MMAP] = value
         yield
     finally:
         if saved is None:
-            os.environ.pop(cells._MMAP_ENV, None)
+            os.environ.pop(config.CELLS_MMAP, None)
         else:
-            os.environ[cells._MMAP_ENV] = saved
+            os.environ[config.CELLS_MMAP] = saved
 
 
 class TestChunkComboBlocks:
@@ -99,7 +99,7 @@ class TestChunkComboBlocks:
 class TestChunkKnob:
     @pytest.fixture(autouse=True)
     def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(cells, "_WARNED_VALUES", set())
+        monkeypatch.setattr(config, "_WARNED", set())
 
     def test_default_and_blank(self):
         with chunk_env(None):
@@ -129,7 +129,7 @@ class TestChunkKnob:
 class TestMmapKnob:
     @pytest.fixture(autouse=True)
     def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(cells, "_WARNED_VALUES", set())
+        monkeypatch.setattr(config, "_WARNED", set())
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", " on "])
     def test_on_values(self, value):

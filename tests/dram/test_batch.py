@@ -17,9 +17,9 @@ from repro.bender.routines.hcfirst import (search_hc_first,
 from repro.bender.routines.rowinit import initialize_window
 from repro.chips.profiles import make_chip
 from repro.core import metrics
+from repro.config import batch_enabled
 from repro.core.patterns import CHECKERED0, ROWSTRIPE1
-from repro.dram.batch import (RowBatchProfile, batch_enabled,
-                              engine_supported)
+from repro.dram.batch import RowBatchProfile, engine_supported
 from repro.dram.geometry import RowAddress
 from repro.faults import FaultPlan, FaultyStack, clear_plan, install_plan
 
@@ -266,10 +266,10 @@ class TestFallbackGates:
     def test_env_unrecognized_warns_and_enables(self, chip1, monkeypatch):
         import warnings as warnings_module
 
-        from repro.dram import batch as batch_module
+        from repro import config
 
         monkeypatch.setenv("HBMSIM_BATCH", "bogus-value")
-        monkeypatch.setattr(batch_module, "_WARNED_VALUES", set())
+        monkeypatch.setattr(config, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="HBMSIM_BATCH"):
             assert batch_enabled()
         # Warned once per distinct value, not per call.

@@ -7,7 +7,8 @@ small populations.
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, default_scale, scaled
+from repro.config import default_scale
+from repro.experiments.base import ExperimentResult, scaled
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
 
 #: Scale small enough for CI, large enough for the shape assertions.

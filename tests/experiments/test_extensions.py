@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.experiments.registry import EXTENSIONS, run_experiment
+from tests.experiments.test_report_manifest import REPORTS, report_sha
 
 
 class TestRegistry:
@@ -66,3 +67,11 @@ class TestDefenseExtension:
     def test_scalar_engine_is_byte_identical(self, result, monkeypatch):
         monkeypatch.setenv("HBMSIM_BATCH", "0")
         assert run_experiment("ext-defenses", 0.2).text == result.text
+
+    @pytest.mark.parametrize("batch", ["unset", "0"])
+    def test_manifest_entry_pinned(self, batch, monkeypatch):
+        if batch == "unset":
+            monkeypatch.delenv("HBMSIM_BATCH", raising=False)
+        else:
+            monkeypatch.setenv("HBMSIM_BATCH", batch)
+        assert report_sha("ext-defenses") == REPORTS["ext-defenses"]

@@ -129,11 +129,6 @@ class TestBenchHarness:
         payload = json.loads(path.read_text())
         assert len(payload["runs"]) == 1
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HBMSIM_BENCH_PATH",
-                           str(tmp_path / "bench.json"))
-        assert bench.bench_path() == tmp_path / "bench.json"
-
     def test_cache_state_classification(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBMSIM_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("HBMSIM_NO_CACHE", raising=False)

@@ -10,8 +10,9 @@ import warnings
 
 import pytest
 
-from repro.experiments import base
-from repro.experiments.base import default_scale, scaled
+from repro import config
+from repro.config import default_scale
+from repro.experiments.base import scaled
 
 
 class TestScaledBoundaries:
@@ -50,7 +51,7 @@ class TestScaledBoundaries:
 class TestDefaultScaleStrict:
     @pytest.fixture(autouse=True)
     def _fresh_warn_state(self, monkeypatch):
-        monkeypatch.setattr(base, "_WARNED_SCALE_VALUES", set())
+        monkeypatch.setattr(config, "_WARNED", set())
 
     def test_unset_and_blank_default_to_one(self, monkeypatch):
         monkeypatch.delenv("HBMSIM_SCALE", raising=False)

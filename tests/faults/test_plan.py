@@ -76,6 +76,11 @@ class TestActivation:
         clear_plan()
         assert active_plan().seed == 9
 
+    @pytest.mark.parametrize("blank", ["", "  ", "\n"])
+    def test_blank_env_means_no_plan(self, monkeypatch, blank):
+        monkeypatch.setenv("HBMSIM_FAULTS", blank)
+        assert active_plan() is None
+
     def test_env_cache_tracks_changes(self, monkeypatch):
         monkeypatch.setenv("HBMSIM_FAULTS", '{"seed": 1}')
         assert active_plan().seed == 1

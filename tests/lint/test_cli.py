@@ -7,11 +7,11 @@ import pytest
 
 from repro.bender.interpreter import Interpreter
 from repro.bender.program import TestProgram
+from repro.config import LintMode, lint_mode
 from repro.dram.device import HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.errors import HbmSimError, LintError
 from repro.lint.__main__ import main
-from repro.lint.config import LintMode, lint_mode
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 

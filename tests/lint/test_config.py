@@ -1,4 +1,4 @@
-"""Suite for ``HBMSIM_LINT`` strict parsing (``repro.lint.config``).
+"""Suite for ``HBMSIM_LINT`` strict parsing (``repro.config.lint_mode``).
 
 Contract under test: recognized values map to their modes; an
 unrecognized value warns once per process per value (``RuntimeWarning``)
@@ -10,17 +10,17 @@ import warnings
 
 import pytest
 
-import repro.lint.config as config
-from repro.lint.config import LintMode, lint_mode
+import repro.config as config
+from repro.config import LintMode, lint_mode
 
 
 @pytest.fixture(autouse=True)
 def _reset_warned_values():
-    saved = set(config._WARNED_VALUES)
-    config._WARNED_VALUES.clear()
+    saved = set(config._WARNED)
+    config._WARNED.clear()
     yield
-    config._WARNED_VALUES.clear()
-    config._WARNED_VALUES.update(saved)
+    config._WARNED.clear()
+    config._WARNED.update(saved)
 
 
 @pytest.mark.parametrize("raw,expected", [
