@@ -51,7 +51,7 @@ from repro.bender.interpreter import ExecutionResult, pre_execution_gate
 from repro.bender.program import (Instruction, Loop, ReadRequest,
                                   TestProgram, _flatten)
 from repro.dram.commands import Command, CommandKind
-from repro.dram.device import HBM2Stack, _RowState, _xor_bits
+from repro.dram.device import Device, HBM2Stack, _RowState, _xor_bits
 from repro.dram.geometry import RowAddress, adjacent_rows
 from repro.faults import FaultPlan, active_plan, wrap_device
 from repro.faults.injector import FaultyStack
@@ -371,7 +371,7 @@ class PlanExecutor:
     to epoch segments or stays fully scalar.
     """
 
-    def __init__(self, device: HBM2Stack,
+    def __init__(self, device: Device,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         plan = fault_plan if fault_plan is not None else active_plan()
         self.device = wrap_device(device, plan)
@@ -421,14 +421,10 @@ class PlanExecutor:
 
     def _run_epoch_segment(self, segment: EpochSegment) -> int:
         stack = self.device
-        faulty: Optional[FaultyStack] = None
-        if isinstance(stack, FaultyStack):
-            faulty = stack
-            device = stack.wrapped
-        else:
-            device = stack
+        faulty: Optional[FaultyStack] = stack.injector
+        device = stack.batch_stack
         no_reads: Dict[str, List[np.ndarray]] = {}
-        if type(device) is not HBM2Stack or device._trace is not None:
+        if device is None or device._trace is not None:
             return self._run_segment_scalar(segment, no_reads)
         context = _EpochContext(device, segment)
         if not context.supported:

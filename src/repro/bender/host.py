@@ -18,7 +18,7 @@ from repro.bender.interpreter import ExecutionResult, Interpreter
 from repro.bender.program import TestProgram
 from repro.config import batch_enabled
 from repro.dram.batch import RowBatchProfile, engine_supported
-from repro.dram.device import HBM2Stack
+from repro.dram.device import Device
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import RowMapping
 from repro.faults.injector import FaultyStack
@@ -31,7 +31,7 @@ class RefreshWindowExceeded(Exception):
 class BenderSession:
     """One host <-> FPGA-board test session."""
 
-    def __init__(self, device: HBM2Stack,
+    def __init__(self, device: Device,
                  mapping: Optional[RowMapping] = None) -> None:
         self.interpreter = Interpreter(device)
         # The interpreter wraps the device in a FaultyStack when a fault
@@ -134,7 +134,9 @@ class BenderSession:
         """Whether batched measurement may replace the scalar path here.
 
         False when the ``HBMSIM_BATCH`` escape hatch disables it or the
-        device is a subclass the closed-form engine cannot model.  Fault
+        device offers no :attr:`~repro.dram.device.Device.batch_stack`
+        (a subclass the closed-form engine cannot model, or a mitigation
+        controller that must observe every activation).  Fault
         plans batch too: a ``FaultyStack``-wrapped plain stack is
         supported — the session classifies each victim's command window
         with the plan's vectorized samplers, measures fault-free windows
@@ -176,7 +178,7 @@ class BenderSession:
             return []
         if not self.batching_active():
             return self._hammer_rows_scalar(victims, pattern, count, t_on)
-        if isinstance(self.device, FaultyStack):
+        if self.device.injector is not None:
             return self._hammer_rows_faulty(victims, pattern, count, t_on)
         result = self.profile_rows(victims, pattern).hammer(count, t_on)
         return [image for image in result.images]
@@ -220,7 +222,7 @@ class BenderSession:
         """
         from repro.bender.routines.rowinit import window_rows
 
-        stack = self.device
+        stack: FaultyStack = self.device.injector
         plan = stack.plan
         radius = 8
         n = len(victims)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.bender.program import ReadRequest, TestProgram
 from repro.config import LintMode, lint_mode
-from repro.dram.device import HBM2Stack
+from repro.dram.device import Device
 from repro.dram.timing import TimingParameters
 from repro.faults import FaultPlan, active_plan, wrap_device
 
@@ -112,7 +112,7 @@ class Interpreter:
     verification entirely.
     """
 
-    def __init__(self, device: HBM2Stack,
+    def __init__(self, device: Device,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         plan = fault_plan if fault_plan is not None else active_plan()
         self.device = wrap_device(device, plan)
@@ -182,9 +182,10 @@ class Interpreter:
             for finding in new:
                 sink(finding)
 
-        # FaultyStack appends a FaultEvent per injected fault; a bare
-        # HBM2Stack has no .events and the stream is taken at face value.
-        events = getattr(self.device, "events", None)
+        # A fault injector appends a FaultEvent per injected fault; with
+        # none on the path the stream is taken at face value.
+        injector = self.device.injector
+        events = injector.events if injector is not None else None
         events_seen = len(events) if events is not None else 0
         base = self.device.now_ns
         started = base

@@ -184,7 +184,7 @@ def search_hc_first_rows(session: BenderSession,
                                 max_hammers, tolerance)
                 for victim in victims]
     profile = session.profile_rows(victims, pattern)
-    if isinstance(session.device, FaultyStack):
+    if session.device.injector is not None:
         return _search_rows_speculative(session, profile, victims,
                                         pattern, t_on, start, max_hammers,
                                         tolerance)
@@ -233,7 +233,7 @@ def _speculate_rows(session: BenderSession, profile: RowBatchProfile,
     per-row until acceptance.  Nothing here advances the device counter,
     appends to the event log, or touches the TRR sampler.
     """
-    stack = session.device
+    stack: FaultyStack = session.device.injector
     plan = stack.plan
     m = int(span.size)
     low = np.zeros(m, dtype=np.int64)
@@ -249,7 +249,7 @@ def _speculate_rows(session: BenderSession, profile: RowBatchProfile,
     has_stuck = np.array(
         [stack._stuck_bits_for(address) is not None for address in logical],
         dtype=bool)
-    expected = pattern.victim_row(session.device.geometry.row_bytes)
+    expected = pattern.victim_row(stack.geometry.row_bytes)
     while True:
         for r in np.flatnonzero(~done & ~dirty):
             if ramping[r]:
@@ -332,7 +332,7 @@ def _search_rows_speculative(session: BenderSession,
     triggers re-speculation of the remaining suffix; after
     :data:`_MAX_SPECULATION_PASSES` the remainder replays scalar.
     """
-    stack = session.device
+    stack: FaultyStack = session.device.injector
     plan = stack.plan
     n = len(victims)
     radius = profile.radius

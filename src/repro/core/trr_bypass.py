@@ -163,7 +163,9 @@ def run_attack_epochs(session: BenderSession,
     experiments do) — back-to-back attacks on one session would see the
     scalar path's state evolution, which this replay does not apply.
     """
-    device = session.device
+    device = session.device.batch_stack
+    if device is None:
+        raise ValueError("epoch replay needs a plain HBM2Stack session")
     geometry = device.geometry
     timings = config.timings
     layout = geometry.subarrays
@@ -340,10 +342,7 @@ def run_attack(session: BenderSession,
     same bitflip count; only the exact path mutates the device, so
     callers comparing engines must use fresh sessions.
     """
-    from repro.faults.injector import FaultyStack
-
-    if session.batching_active() \
-            and not isinstance(session.device, FaultyStack):
+    if session.batching_active() and session.device.injector is None:
         return run_attack_epochs(session, victim_physical, config, pattern)
     return run_attack_exact(session, victim_physical, config, pattern)
 

@@ -21,12 +21,12 @@ import abc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import batch_enabled
-from repro.dram.device import HBM2Stack
-from repro.dram.commands import Command, CommandKind
+from repro.dram.device import Device, HBM2Stack
 from repro.dram.geometry import RowAddress
 from repro.dram.row_mapping import IdentityMapping, RowMapping
-from repro.faults.injector import FaultyStack
 
 
 @dataclass
@@ -102,42 +102,31 @@ class MitigationController(abc.ABC):
         """Hook invoked when a refresh window (tREFW) elapses."""
 
 
-class DefendedDevice:
+class DefendedDevice(Device):
     """An HBM2 stack fronted by a mitigation controller.
 
-    Quacks like :class:`~repro.dram.device.HBM2Stack` for the SoftBender
-    session/interpreter (``execute``, row operations, ``geometry`` ...),
-    so any attack program runs unmodified against a defended system.
-    Preventive refreshes go through the real command path — they cost
-    time and, like any activation, disturb their own neighbors.
+    A :class:`~repro.dram.device.Device` in its own right, so any attack
+    program runs unmodified against a defended system through the
+    SoftBender session/interpreter.  Every command, including a REF sent
+    through :meth:`execute`, passes this layer.  It never offers its
+    stack to the batched engines (:attr:`batch_stack` is ``None``): the
+    controller must observe every activation.  Preventive refreshes go
+    through the real command path — they cost time and, like any
+    activation, disturb their own neighbors.
     """
 
     def __init__(self, device: HBM2Stack,
                  controller: MitigationController) -> None:
-        self.device = device
+        self.wrapped = device
+        self.geometry = device.geometry
+        self.timings = device.timings
+        self.stats = device.stats
         self.controller = controller
         self._window_start_ns = device.now_ns
 
-    # -- attribute passthrough -------------------------------------------
-
-    def __getattr__(self, name):
-        return getattr(self.device, name)
-
-    # -- command interface -------------------------------------------------
-
-    def execute(self, command: Command):
-        if command.kind is CommandKind.HAMMER:
-            address = RowAddress(command.channel, command.pseudo_channel,
-                                 command.bank, command.row)
-            return self.hammer(address, command.count, command.t_on)
-        if command.kind is CommandKind.ACT:
-            address = RowAddress(command.channel, command.pseudo_channel,
-                                 command.bank, command.row)
-            return self.activate(address)
-        return self.device.execute(command)
-
-    def run(self, commands) -> list:
-        return [self.execute(command) for command in commands]
+    @property
+    def now_ns(self) -> float:
+        return self.wrapped.now_ns
 
     # -- defended row operations --------------------------------------------
 
@@ -145,32 +134,36 @@ class DefendedDevice:
                t_on: Optional[float] = None) -> None:
         self._check_rollover()
         delay = self.controller.throttle_ns(address, count, t_on,
-                                            self.device.now_ns)
+                                            self.wrapped.now_ns)
         if delay > 0:
-            self.device.wait(delay)
+            self.wrapped.wait(delay)
             self.controller.stats.throttle_delay_ns += delay
-        self.device.hammer(address, count, t_on)
+        self.wrapped.hammer(address, count, t_on)
         self._mitigate(address, count, t_on)
 
     def activate(self, address: RowAddress) -> None:
         self._check_rollover()
         delay = self.controller.throttle_ns(address, 1, None,
-                                            self.device.now_ns)
+                                            self.wrapped.now_ns)
         if delay > 0:
-            self.device.wait(delay)
+            self.wrapped.wait(delay)
             self.controller.stats.throttle_delay_ns += delay
-        self.device.activate(address)
+        self.wrapped.activate(address)
         self._mitigate(address, 1, None)
 
-    def read_row(self, address: RowAddress):
-        return self.device.read_row(address)
+    def precharge(self, channel: int, pseudo_channel: int,
+                  bank_index: int) -> None:
+        self.wrapped.precharge(channel, pseudo_channel, bank_index)
 
-    def write_row(self, address: RowAddress, data) -> None:
-        self.device.write_row(address, data)
+    def read_row(self, address: RowAddress) -> np.ndarray:
+        return self.wrapped.read_row(address)
+
+    def write_row(self, address: RowAddress, data: np.ndarray) -> None:
+        self.wrapped.write_row(address, data)
 
     def refresh(self, channel: int, pseudo_channel: int) -> None:
         self._check_rollover()
-        self.device.refresh(channel, pseudo_channel)
+        self.wrapped.refresh(channel, pseudo_channel)
 
     def refresh_burst(self, channel: int, pseudo_channel: int,
                       count: int) -> None:
@@ -185,18 +178,18 @@ class DefendedDevice:
         the REF index (hence exactly the clock value) the scalar loop
         would have produced.
         """
-        timings = self.device.timings
+        timings = self.timings
         remaining = int(count)
         while remaining > 0:
             self._check_rollover()
-            elapsed = self.device.now_ns - self._window_start_ns
+            elapsed = self.wrapped.now_ns - self._window_start_ns
             headroom = int((timings.t_refw - elapsed) / timings.t_rfc) - 2
             chunk = min(remaining, max(1, headroom))
-            self.device.refresh_burst(channel, pseudo_channel, chunk)
+            self.wrapped.refresh_burst(channel, pseudo_channel, chunk)
             remaining -= chunk
 
     def wait(self, duration_ns: float) -> None:
-        self.device.wait(duration_ns)
+        self.wrapped.wait(duration_ns)
 
     # -- internals ----------------------------------------------------------
 
@@ -204,26 +197,26 @@ class DefendedDevice:
                   t_on: Optional[float]) -> None:
         controller = self.controller
         controller.stats.observed_activations += count
-        victims = controller.observe(address, count, t_on,
-                                     self.device.now_ns)
+        device = self.wrapped
+        victims = controller.observe(address, count, t_on, device.now_ns)
         for logical_row in victims:
             victim = address.with_row(logical_row)
-            bank = self.device._banks.get(victim.bank_key)
+            bank = device._banks.get(victim.bank_key)
             if bank is not None and bank.open_row is not None:
                 continue  # cannot interleave while the bank is open
-            self.device.activate(victim)
-            self.device.precharge(victim.channel, victim.pseudo_channel,
-                                  victim.bank)
+            device.activate(victim)
+            device.precharge(victim.channel, victim.pseudo_channel,
+                             victim.bank)
             controller.stats.preventive_refreshes += 1
 
     def _check_rollover(self) -> None:
-        window = self.device.timings.t_refw
-        if self.device.now_ns - self._window_start_ns >= window:
-            self._window_start_ns = self.device.now_ns
-            self.controller.on_window_rollover(self.device.now_ns)
+        now_ns = self.wrapped.now_ns
+        if now_ns - self._window_start_ns >= self.timings.t_refw:
+            self._window_start_ns = now_ns
+            self.controller.on_window_rollover(now_ns)
 
 
-def catch_up_refresh(device, channel: int, pseudo_channel: int,
+def catch_up_refresh(device: Device, channel: int, pseudo_channel: int,
                      next_ref_ns: float) -> float:
     """Issue every REF due by ``device.now_ns``; return the next deadline.
 
@@ -232,15 +225,15 @@ def catch_up_refresh(device, channel: int, pseudo_channel: int,
     advances the clock by exactly ``tRFC``, so the batched engine
     pre-computes how many are due and issues them as one
     ``refresh_burst`` (bit-identical to the sequential REFs, for the
-    plain stack and for :class:`DefendedDevice`).  A ``FaultyStack`` and
-    ``HBMSIM_BATCH=0`` take the sequential loop: ``refresh_burst`` on a
-    ``FaultyStack`` would delegate past its fault draws, while per-REF
-    calls tick the injector's counter exactly like the scalar engine.
+    plain stack and for :class:`DefendedDevice`).  With a fault
+    injector on the command path, or ``HBMSIM_BATCH=0``, the loop stays
+    clock-driven: a dropped REF does not advance the clock, so the count
+    due cannot be known up front.
     """
     if device.now_ns < next_ref_ns:
         return next_ref_ns
     t_refi = device.timings.t_refi
-    if batch_enabled() and not isinstance(device, FaultyStack):
+    if batch_enabled() and device.injector is None:
         count = 0
         now_sim = device.now_ns
         t_rfc = device.timings.t_rfc

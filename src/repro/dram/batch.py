@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.config import cells_chunk_elems
 from repro.dram.cells import allocate_cells
-from repro.dram.device import ROW_IO_NS, HBM2Stack, classify_victim_pattern
+from repro.dram.device import ROW_IO_NS, Device, classify_victim_pattern
 from repro.dram.geometry import RowAddress
 from repro.dram.timing import TimingParameters
 
@@ -70,24 +70,21 @@ from repro.dram.timing import TimingParameters
 PATTERN_RADIUS = 8
 
 
-def engine_supported(device: object) -> bool:
+def engine_supported(device: Device) -> bool:
     """Whether ``device`` can be measured through the batch engine.
 
-    Requires a plain :class:`HBM2Stack` (subclasses could override
-    command semantics, diverging from the engine's closed-form replay),
-    either bare or behind a :class:`~repro.faults.injector.FaultyStack`
-    — the wrapper only perturbs the *command stream*, which the session
-    layer replays around the engine; the physics underneath are exactly
-    the plain stack's.  TRR-enabled stacks are supported: the profile
-    mirrors each measurement's activation stream into the TRR sampler
-    (see :meth:`RowBatchProfile._mirror_trr`), so later REF commands
-    select the same victims as after the scalar command sequence.
+    True when the device offers a :attr:`~repro.dram.device.Device.
+    batch_stack`: a plain :class:`HBM2Stack`, either bare or behind a
+    fault injector — the injector only perturbs the *command stream*,
+    which the session layer replays around the engine; the physics
+    underneath are exactly the plain stack's.  A mitigation controller
+    offers none, because it must observe every activation.  TRR-enabled
+    stacks are supported: the profile mirrors each measurement's
+    activation stream into the TRR sampler (see
+    :meth:`RowBatchProfile._mirror_trr`), so later REF commands select
+    the same victims as after the scalar command sequence.
     """
-    from repro.faults.injector import FaultyStack
-
-    if isinstance(device, FaultyStack):
-        device = device.wrapped
-    return type(device) is HBM2Stack
+    return device.batch_stack is not None
 
 
 @dataclass
@@ -119,20 +116,16 @@ class RowBatchProfile:
     survives the re-init).
     """
 
-    def __init__(self, device: HBM2Stack, victims: Sequence[RowAddress],
+    def __init__(self, device: Device, victims: Sequence[RowAddress],
                  pattern: Any, radius: int = PATTERN_RADIUS) -> None:
-        if not engine_supported(device):
+        # The engine replays the *physics*; command-stream faults are the
+        # session layer's concern (it only routes fault-free windows here).
+        stack = device.batch_stack
+        if stack is None:
             raise ValueError(
                 "batch engine requires a plain HBM2Stack (or one behind "
-                "a FaultyStack); use the scalar command path instead")
-        from repro.faults.injector import FaultyStack
-
-        if isinstance(device, FaultyStack):
-            # The engine replays the *physics*; command-stream faults
-            # are the session layer's concern (it only routes fault-free
-            # windows here).
-            device = device.wrapped
-        self.device = device
+                "a fault injector); use the scalar command path instead")
+        self.device = device = stack
         self.victims = [address.validate(device.geometry)
                         for address in victims]
         self.pattern = pattern

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -173,8 +173,116 @@ class DeviceStats:
     ecc_corrections: int = 0
 
 
-class HBM2Stack:
+class Device:
+    """Whatever stands between the host and the chip.
+
+    :class:`HBM2Stack` is the chip itself.  ``FaultyStack``
+    (:mod:`repro.faults`, the FPGA platform's glitches) and
+    ``DefendedDevice`` (:mod:`repro.defenses`, a memory controller) wrap
+    one.  Every activation must reach each layer on the command path, so
+    nothing is forwarded implicitly: each concrete class defines the row
+    operations, ``geometry``, ``timings``, ``stats`` and ``now_ns``
+    itself.  Wrappers expose ``now_ns`` read-only and keep the device
+    they wrap in ``wrapped``.
+
+    Callers that need more than the command interface ask the two
+    capability queries, :attr:`batch_stack` and :attr:`injector`,
+    instead of testing wrapper types.
+    """
+
+    geometry: HBM2Geometry
+    timings: TimingParameters
+    stats: DeviceStats
+
+    @property
+    def now_ns(self) -> float:
+        """Device time in ns."""
+        raise NotImplementedError
+
+    @property
+    def batch_stack(self) -> Optional[HBM2Stack]:
+        """The plain :class:`HBM2Stack` whose physics the batched engines
+        may replay, or ``None`` when every command must run through this
+        device (a mitigation controller must observe each activation)."""
+        return None
+
+    @property
+    def injector(self) -> Optional[Any]:
+        """The ``FaultyStack`` on the command path, or ``None``.
+
+        Typed ``Any`` because the fault layer is built on this module;
+        callers annotate the result as ``Optional[FaultyStack]``.
+        """
+        return None
+
+    # -- command interface -------------------------------------------------
+
+    def execute(self, command: Command) -> Optional[np.ndarray]:
+        """Execute one command; RD returns the row image."""
+        kind = command.kind
+        if kind is CommandKind.WAIT:
+            return self.wait(command.duration)
+        if kind is CommandKind.NOP:
+            return None
+        address = RowAddress(command.channel, command.pseudo_channel,
+                             command.bank, command.row)
+        if kind is CommandKind.REF:
+            return self.refresh(command.channel, command.pseudo_channel)
+        if kind is CommandKind.ACT:
+            return self.activate(address)
+        if kind is CommandKind.PRE:
+            return self.precharge(command.channel, command.pseudo_channel,
+                                  command.bank)
+        if kind is CommandKind.RD:
+            return self.read_row(address)
+        if kind is CommandKind.WR:
+            if command.data is None:
+                raise ValueError("WR command requires a row image")
+            return self.write_row(address, command.data)
+        if kind is CommandKind.HAMMER:
+            return self.hammer(address, command.count, command.t_on)
+        raise ValueError(f"unhandled command kind {kind}")
+
+    def run(self, commands: Iterable[Command]) -> List[Optional[np.ndarray]]:
+        """Execute a command sequence, collecting per-command results."""
+        return [self.execute(command) for command in commands]
+
+    # -- row operations (every concrete class defines them) ----------------
+
+    def wait(self, duration_ns: float) -> None:
+        raise NotImplementedError
+
+    def activate(self, address: RowAddress) -> None:
+        raise NotImplementedError
+
+    def precharge(self, channel: int, pseudo_channel: int,
+                  bank_index: int) -> None:
+        raise NotImplementedError
+
+    def read_row(self, address: RowAddress) -> np.ndarray:
+        raise NotImplementedError
+
+    def write_row(self, address: RowAddress, data: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def hammer(self, address: RowAddress, count: int,
+               t_on: Optional[float] = None) -> None:
+        raise NotImplementedError
+
+    def refresh(self, channel: int, pseudo_channel: int) -> None:
+        raise NotImplementedError
+
+    def refresh_burst(self, channel: int, pseudo_channel: int,
+                      count: int) -> None:
+        raise NotImplementedError
+
+
+class HBM2Stack(Device):
     """One simulated HBM2 stack (Section 3's device under test)."""
+
+    #: Device time (ns).  Shadows the base class's read-only property so
+    #: the chip's own clock stays a plain, writable instance attribute.
+    now_ns: float = 0.0
 
     def __init__(self,
                  geometry: HBM2Geometry = DEFAULT_GEOMETRY,
@@ -229,39 +337,16 @@ class HBM2Stack:
                 self._ref_pointer[(channel, pc)] = 0
                 self._pc_ref_time[(channel, pc)] = {}
 
-    # ------------------------------------------------------------------
-    # Command interface
-    # ------------------------------------------------------------------
+    #: The one command dispatch, bound on this class too so per-class
+    #: instrumentation that looks ``execute`` up in ``HBM2Stack.__dict__``
+    #: finds it.
+    execute = Device.execute
 
-    def execute(self, command: Command) -> Optional[np.ndarray]:
-        """Execute one command; RD returns the row image."""
-        kind = command.kind
-        if kind is CommandKind.WAIT:
-            return self.wait(command.duration)
-        if kind is CommandKind.NOP:
-            return None
-        address = RowAddress(command.channel, command.pseudo_channel,
-                             command.bank, command.row)
-        if kind is CommandKind.REF:
-            return self.refresh(command.channel, command.pseudo_channel)
-        if kind is CommandKind.ACT:
-            return self.activate(address)
-        if kind is CommandKind.PRE:
-            return self.precharge(command.channel, command.pseudo_channel,
-                                  command.bank)
-        if kind is CommandKind.RD:
-            return self.read_row(address)
-        if kind is CommandKind.WR:
-            if command.data is None:
-                raise ValueError("WR command requires a row image")
-            return self.write_row(address, command.data)
-        if kind is CommandKind.HAMMER:
-            return self.hammer(address, command.count, command.t_on)
-        raise ValueError(f"unhandled command kind {kind}")
-
-    def run(self, commands: Iterable[Command]) -> List[Optional[np.ndarray]]:
-        """Execute a command sequence, collecting per-command results."""
-        return [self.execute(command) for command in commands]
+    @property
+    def batch_stack(self) -> Optional[HBM2Stack]:
+        # Subclasses could override command semantics, diverging from
+        # the engines' closed-form replay.
+        return self if type(self) is HBM2Stack else None
 
     # ------------------------------------------------------------------
     # Row-level operations

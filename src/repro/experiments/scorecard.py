@@ -56,12 +56,16 @@ def _within_factor(factor: float) -> Callable[[float, float], bool]:
         ratio = measured / reference
         return 1.0 / factor <= ratio <= factor
 
+    check.__name__ = f"within x{factor:g}"
     return check
 
 
 def _within_abs(tolerance: float) -> Callable[[float, float], bool]:
-    return lambda measured, reference: \
-        abs(measured - reference) <= tolerance
+    def check(measured: float, reference: float) -> bool:
+        return abs(measured - reference) <= tolerance
+
+    check.__name__ = f"within +-{tolerance:g}"
+    return check
 
 
 def _equals(measured: Any, reference: Any) -> bool:

@@ -20,8 +20,8 @@ campaign:
 Every decision derives from ``(plan.seed, fault tag, command counter)``
 via the splitmix64 chain of :mod:`repro.dram.seeding`, so the same plan
 over the same command stream yields a byte-identical fault schedule
-(assert with :meth:`FaultyStack.schedule_digest`).  The wrapper keeps
-the full device surface available through delegation, so routines,
+(assert with :meth:`FaultyStack.schedule_digest`).  The wrapper is a
+:class:`~repro.dram.device.Device` in its own right, so routines,
 sessions, and the interpreter use it as a drop-in device.
 """
 
@@ -31,12 +31,11 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dram.commands import Command, CommandKind
-from repro.dram.device import HBM2Stack, _xor_bits
+from repro.dram.device import Device, HBM2Stack, _xor_bits
 from repro.dram.geometry import RowAddress
 from repro.dram.seeding import generator_for, uniform_for
 from repro.errors import PlatformHangError
@@ -76,29 +75,42 @@ class FaultEvent:
         return f"#{self.index} {self.fault} on {self.command}{suffix}"
 
 
-class FaultyStack:
-    """Chaos wrapper: an :class:`HBM2Stack` behind a glitchy platform.
+class FaultyStack(Device):
+    """Chaos wrapper: a device behind a glitchy platform.
 
-    Delegates everything it does not intercept, so it drops into any
-    code that expects a device.  The wrapped device's *internal*
-    composition (e.g. ``read_row`` issuing its own ACT/PRE) is not
-    re-intercepted: one host-visible operation makes one set of fault
-    decisions, which keeps the schedule aligned with the command stream
-    a real platform sees.
+    The wrapped device's *internal* composition (e.g. ``read_row``
+    issuing its own ACT/PRE) is not re-intercepted: one host-visible
+    operation makes one set of fault decisions, which keeps the schedule
+    aligned with the command stream a real platform sees.
     """
 
-    def __init__(self, device: HBM2Stack, plan: FaultPlan) -> None:
-        if isinstance(device, FaultyStack):
-            device = device.wrapped
+    def __init__(self, device: Device, plan: FaultPlan) -> None:
+        injector = device.injector
+        if injector is not None:
+            device = injector.wrapped
         self.wrapped = device
+        self.geometry = device.geometry
+        self.timings = device.timings
+        self.stats = device.stats
         self.plan = plan
         self.events: List[FaultEvent] = []
         self._counter = 0
         self._stuck_cache: Dict[Tuple[int, int, int, int],
                                 Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.wrapped, name)
+    @property
+    def now_ns(self) -> float:
+        return self.wrapped.now_ns
+
+    @property
+    def batch_stack(self) -> Optional[HBM2Stack]:
+        # The engines replay the physics; the session layer replays the
+        # command stream's faults around them.
+        return self.wrapped.batch_stack
+
+    @property
+    def injector(self) -> "FaultyStack":
+        return self
 
     # -- fault schedule inspection ---------------------------------------
 
@@ -162,36 +174,6 @@ class FaultyStack:
 
     # -- intercepted command interface ------------------------------------
 
-    def execute(self, command: Command) -> Optional[np.ndarray]:
-        """Execute one command under the fault plan (RD returns data)."""
-        kind = command.kind
-        if kind is CommandKind.WAIT:
-            return self.wait(command.duration)
-        if kind is CommandKind.NOP:
-            return None
-        address = RowAddress(command.channel, command.pseudo_channel,
-                             command.bank, command.row)
-        if kind is CommandKind.REF:
-            return self.refresh(command.channel, command.pseudo_channel)
-        if kind is CommandKind.ACT:
-            return self.activate(address)
-        if kind is CommandKind.PRE:
-            return self.precharge(command.channel, command.pseudo_channel,
-                                  command.bank)
-        if kind is CommandKind.RD:
-            return self.read_row(address)
-        if kind is CommandKind.WR:
-            if command.data is None:
-                raise ValueError("WR command requires a row image")
-            return self.write_row(address, command.data)
-        if kind is CommandKind.HAMMER:
-            return self.hammer(address, command.count, command.t_on)
-        raise ValueError(f"unhandled command kind {kind}")
-
-    def run(self, commands: Iterable[Command]) -> List[Optional[np.ndarray]]:
-        """Execute a command sequence through the fault layer."""
-        return [self.execute(command) for command in commands]
-
     def wait(self, duration_ns: float) -> None:
         _, action = self._platform("WAIT")
         if action == "drop":
@@ -226,6 +208,12 @@ class FaultyStack:
             self.wrapped.refresh(channel, pseudo_channel)
         return result
 
+    def refresh_burst(self, channel: int, pseudo_channel: int,
+                      count: int) -> None:
+        """``count`` REFs, each drawing its own platform faults."""
+        for __ in range(count):
+            self.refresh(channel, pseudo_channel)
+
     def write_row(self, address: RowAddress, data: np.ndarray) -> None:
         _, action = self._platform("WR")
         if action == "drop":
@@ -237,7 +225,7 @@ class FaultyStack:
         index, _ = self._platform("HAMMER")
         jitter = self._jitter_ns(index, "HAMMER")
         if jitter:
-            base = self.wrapped.timings.t_ras if t_on is None else t_on
+            base = self.timings.t_ras if t_on is None else t_on
             t_on = base + jitter
         return self.wrapped.hammer(address, count, t_on)
 
@@ -306,7 +294,7 @@ class FaultyStack:
                 plan.seed, _TAG_STUCK, *key) < plan.stuck_row_rate:
             rng = generator_for(plan.seed, _TAG_STUCK, *key, 1)
             count = 1 + int(rng.integers(plan.stuck_bits_per_row))
-            row_bits = self.wrapped.geometry.row_bits
+            row_bits = self.geometry.row_bits
             positions = np.unique(rng.integers(row_bits, size=count))
             values = rng.integers(2, size=positions.size).astype(np.uint8)
             stuck = (positions.astype(np.int64), values)
@@ -334,8 +322,7 @@ class FaultyStack:
         return data
 
 
-def wrap_device(device: HBM2Stack,
-                plan: Optional[FaultPlan]) -> HBM2Stack:
+def wrap_device(device: Device, plan: Optional[FaultPlan]) -> Device:
     """Wrap ``device`` when ``plan`` injects device-level faults.
 
     Returns the device unchanged for ``None`` plans, plans with only
@@ -344,7 +331,7 @@ def wrap_device(device: HBM2Stack,
     """
     if plan is None or not plan.device_faults_enabled():
         return device
-    if isinstance(device, FaultyStack):
+    if device.injector is not None:
         return device
     return FaultyStack(device, plan)
 

@@ -130,8 +130,7 @@ def _run_engine(case: FuzzCase, engine: str) -> EngineOutcome:
         return outcome
     if findings is not None:
         outcome.findings = findings
-    stack = runner.device if isinstance(runner.device, FaultyStack) \
-        else None
+    stack: Optional[FaultyStack] = runner.device.injector
     outcome.snapshot = snapshot_state(device, result, stack)
     return outcome
 

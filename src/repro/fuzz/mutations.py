@@ -47,7 +47,8 @@ def _clock_skew() -> "contextlib.AbstractContextManager[None]":
         result = original(self, program)
         # Leak time on the bare device (below the fault layer, so the
         # injected bug does not perturb the fault schedule itself).
-        inner = getattr(self.device, "wrapped", self.device)
+        injector = self.device.injector
+        inner = self.device if injector is None else injector.wrapped
         inner.wait(1.0)
         return result
 

@@ -38,7 +38,7 @@ from repro.chips.profiles import make_chip
 from repro.core.patterns import pattern_by_name
 from repro.dram.geometry import RowAddress
 from repro.dram.trr import TrrConfig
-from repro.faults.injector import FaultyStack
+from repro.faults.injector import FaultyStack, wrap_device
 from repro.faults.plan import FaultPlan
 from repro.fuzz.generator import _rng_for
 
@@ -135,16 +135,13 @@ def _fresh_session(case: SearchCase) -> BenderSession:
     chip = make_chip(CHIP_INDEX)
     device = chip.make_device(
         trr_config=TrrConfig(enabled=case.trr_enabled))
-    if case.fault_plan is not None \
-            and case.fault_plan.device_faults_enabled():
-        device = FaultyStack(device, case.fault_plan)
-    return BenderSession(device, mapping=chip.row_mapping())
+    return BenderSession(wrap_device(device, case.fault_plan),
+                         mapping=chip.row_mapping())
 
 
 def _trr_snapshot(session: BenderSession) -> List[Tuple]:
-    device = session.device
-    if isinstance(device, FaultyStack):
-        device = device.wrapped
+    device = session.device.batch_stack
+    assert device is not None, "search cases run on a plain stack"
     snapshot = []
     for pc_key, engine in device._trr.items():
         for tracker in engine._trackers:
@@ -184,10 +181,11 @@ def _run_path(case: SearchCase, path: str) -> SearchOutcome:
                 max_hammers=case.max_hammers, tolerance=case.tolerance)
     except Exception as exc:  # noqa: BLE001 — error parity is the check
         outcome.error = (type(exc).__name__, str(exc))
-    if isinstance(session.device, FaultyStack):
+    stack: Optional[FaultyStack] = session.device.injector
+    if stack is not None:
         outcome.events = [(e.index, e.fault, e.command, e.detail)
-                          for e in session.device.events]
-        outcome.counter = session.device._counter
+                          for e in stack.events]
+        outcome.counter = stack._counter
     outcome.trr = _trr_snapshot(session)
     return outcome
 

@@ -7,6 +7,8 @@ from repro.defenses import (BlockHammer, Graphene, HeterogeneousGraphene,
                             defended_session, evaluate,
                             para_probability_for, pick_vulnerable_victim,
                             rowpress_burst)
+from repro.bender.program import TestProgram
+from repro.defenses.base import MitigationController
 from repro.dram.geometry import RowAddress
 
 
@@ -210,7 +212,7 @@ class TestDefendedRefreshBurst:
         at the same REF index (same now_ns) on both paths."""
         scalar = self._twin(chip0_module)
         burst = self._twin(chip0_module)
-        timings = scalar.device.timings
+        timings = scalar.wrapped.timings
         # Seed tracker state so on_window_rollover has something to wipe.
         addr = RowAddress(0, 0, 0, 5000)
         for target in (scalar, burst):
@@ -219,8 +221,8 @@ class TestDefendedRefreshBurst:
         for __ in range(count):
             scalar.refresh(0, 0)
         burst.refresh_burst(0, 0, count)
-        assert burst.device.now_ns == scalar.device.now_ns
-        assert burst.device.stats.refs == scalar.device.stats.refs
+        assert burst.wrapped.now_ns == scalar.wrapped.now_ns
+        assert burst.wrapped.stats.refs == scalar.wrapped.stats.refs
         assert burst._window_start_ns == scalar._window_start_ns
         # The rollover wiped both trackers identically.
         for key, table in scalar.controller._tables.items():
@@ -233,5 +235,53 @@ class TestDefendedRefreshBurst:
         for __ in range(3):
             scalar.refresh(0, 0)
         burst.refresh_burst(0, 0, 3)
-        assert burst.device.now_ns == scalar.device.now_ns
+        assert burst.wrapped.now_ns == scalar.wrapped.now_ns
         assert burst._window_start_ns == scalar._window_start_ns
+
+
+class _RolloverLog(MitigationController):
+    """Observes nothing; records when each tREFW rollover fires."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rollovers: list = []
+
+    def observe(self, address, count, t_on, now_ns):
+        return []
+
+    def on_window_rollover(self, now_ns: float) -> None:
+        self.rollovers.append(now_ns)
+
+
+class TestRolloverThroughExecute:
+    """A REF sent as a command checks the tREFW rollover exactly like a
+    direct ``refresh()`` call, so the controller's window resets at the
+    same ``now_ns`` whichever way the REFs arrive."""
+
+    @pytest.mark.parametrize("batch", ["1", "0"])
+    def test_ref_program_rolls_over_on_time(self, chip0_module,
+                                            monkeypatch, batch):
+        monkeypatch.setenv("HBMSIM_BATCH", batch)
+        timings = chip0_module.make_device().timings
+        lead_ns = timings.t_refw - 2.5 * timings.t_rfc
+        refs = 6
+        aggressor = RowAddress(0, 0, 0, 5000)
+
+        via_execute = _RolloverLog()
+        session = defended_session(chip0_module, via_execute)
+        program = TestProgram("ref_only").wait(lead_ns)
+        for __ in range(refs):
+            program.refresh(0, 0)
+        program.hammer(aggressor, 1)
+        session.run(program)
+
+        via_refresh = _RolloverLog()
+        direct = defended_session(chip0_module, via_refresh).device
+        direct.wait(lead_ns)
+        for __ in range(refs):
+            direct.refresh(0, 0)
+        direct.hammer(aggressor, 1)
+
+        assert len(via_refresh.rollovers) == 1
+        assert via_execute.rollovers == via_refresh.rollovers
+        assert session.device.now_ns == direct.now_ns

@@ -239,6 +239,23 @@ class TestFallbackGates:
         odd = Oddball(geometry=device.geometry, timings=device.timings)
         assert not engine_supported(FaultyStack(odd, FaultPlan(seed=7)))
 
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["defended", "faulty-over-defended"])
+    def test_defended_device_never_batches(self, chip1, faulty):
+        """A mitigation controller must observe every activation, so no
+        engine may replay the stack behind it — not even when a fault
+        injector sits in front of the controller."""
+        from repro.defenses import DefendedDevice, Graphene
+
+        device = DefendedDevice(
+            chip1.make_device(),
+            Graphene(threshold=3500, believed_mapping=chip1.row_mapping()))
+        if faulty:
+            device = FaultyStack(device, FaultPlan(seed=7, drop_rate=0.01))
+        assert not engine_supported(device)
+        session = BenderSession(device, mapping=chip1.row_mapping())
+        assert not session.batching_active()
+
     def test_fault_plan_keeps_session_batching(self, chip1):
         session = BenderSession(chip1.make_device(),
                                 mapping=chip1.row_mapping())

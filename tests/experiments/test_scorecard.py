@@ -1,11 +1,11 @@
-"""Unit tests for the scorecard mechanics (the full run is a benchmark)."""
+"""Scorecard mechanics, and the gate: every headline claim must PASS."""
 
 import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.scorecard import (CLAIMS, Claim, DEFAULT_SCALES,
-                                         Scorecard, _within_abs,
-                                         _within_factor)
+                                         Scorecard, _fmt, _within_abs,
+                                         _within_factor, build_scorecard)
 
 
 def make_result(data) -> ExperimentResult:
@@ -15,6 +15,7 @@ def make_result(data) -> ExperimentResult:
 class TestComparators:
     def test_within_factor(self):
         check = _within_factor(2.0)
+        assert check.__name__ == "within x2"
         assert check(1.0, 1.9)
         assert check(1.9, 1.0)
         assert not check(1.0, 2.1)
@@ -22,6 +23,7 @@ class TestComparators:
 
     def test_within_abs(self):
         check = _within_abs(0.5)
+        assert check.__name__ == "within +-0.5"
         assert check(1.0, 1.4)
         assert not check(1.0, 1.6)
 
@@ -68,3 +70,18 @@ class TestRendering:
         text = scorecard.render()
         assert "1/1 headline claims reproduced" in text
         assert "PASS" in text
+
+
+class TestScorecardGate:
+    def test_every_claim_passes_at_default_scales(self):
+        """The paper's headline claims at ``DEFAULT_SCALES``: a claim
+        that flips to DEVIATES fails here with its measured value next
+        to the paper value and the tolerance it was graded against."""
+        scorecard = build_scorecard(DEFAULT_SCALES)
+        assert scorecard.total == len(CLAIMS)
+        deviating = [
+            f"{outcome.claim.claim_id}: measured {_fmt(outcome.measured)},"
+            f" paper {_fmt(outcome.claim.paper_value)}"
+            f" ({outcome.claim.check.__name__})"
+            for outcome in scorecard.outcomes if not outcome.passed]
+        assert not deviating, "claims DEVIATE:\n" + "\n".join(deviating)

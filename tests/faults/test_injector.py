@@ -76,7 +76,7 @@ class TestFaultBehaviours:
         corrupted = stack.read_row(ROW)
         assert not np.array_equal(corrupted, image)
         # The stored row is pristine: the flip happened on the bus.
-        assert np.array_equal(stack.inspect_row(ROW), image)
+        assert np.array_equal(stack.wrapped.inspect_row(ROW), image)
 
     def test_stuck_cells_persist_across_reads(self):
         stack = make_faulty(seed=3, stuck_row_rate=1.0,
@@ -97,7 +97,7 @@ class TestFaultBehaviours:
     def test_dropped_write_loses_data(self):
         stack = make_faulty(seed=1, drop_rate=1.0)
         stack.write_row(ROW, np.full(1024, 0xFF, dtype=np.uint8))
-        assert not np.any(stack.inspect_row(ROW))
+        assert not np.any(stack.wrapped.inspect_row(ROW))
 
     def test_ghost_refresh_executes_twice(self):
         stack = make_faulty(seed=1, ghost_rate=1.0)
@@ -124,7 +124,7 @@ class TestFaultBehaviours:
         jittered = make_faulty(seed=2, act_jitter_rate=1.0,
                                act_jitter_ns=500.0)
         jittered.hammer(ROW.neighbor(1), 1000)
-        assert jittered.accumulated_units(ROW) > clean_units
+        assert jittered.wrapped.accumulated_units(ROW) > clean_units
 
     def test_fault_free_plan_is_transparent(self):
         device = make_device()
@@ -134,13 +134,15 @@ class TestFaultBehaviours:
         assert wrap_device(
             device, FaultPlan(crash_once=("fig05",))) is device
 
-    def test_delegation_exposes_device_surface(self):
+    def test_wrapper_defines_device_surface(self):
         stack = make_faulty(seed=1, read_flip_rate=0.5)
         assert stack.geometry is stack.wrapped.geometry
         assert stack.timings is stack.wrapped.timings
-        stack.enable_tracing()
+        assert stack.stats is stack.wrapped.stats
+        # Stack internals are the wrapped device's, reached explicitly.
+        stack.wrapped.enable_tracing()
         stack.write_row(ROW, np.zeros(1024, dtype=np.uint8))
-        assert stack.trace()  # ring buffer reached through delegation
+        assert stack.wrapped.trace()
 
 
 class TestWiring:
